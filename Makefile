@@ -5,8 +5,10 @@
 #                  replay determinism, the allocation/layout gates,
 #                  short-mode benchmarks
 #   make test    - plain test run (tier-1: go build ./... && go test ./...)
-#   make race    - race-detector run over the lock-free scheduler/pool layers
-#                  plus the real-goroutine runtime
+#   make race    - race-detector run over the lock-free scheduler/pool layers,
+#                  the real-goroutine runtime, the fairness policies, the
+#                  simulator, the flight recorder, record & replay and the
+#                  aidserve service tier
 #   make race-multiloop - the multi-tenant conformance + registry race suite
 #                  under -race -count=2, so flaky interleavings surface in
 #                  CI, not in production
@@ -24,7 +26,7 @@
 #   make obs-check - the flight-recorder gates: the internal/obs suite
 #                  (counter cells, Prometheus rendering, analyzer, the
 #                  byte-deterministic chrome export), the engine wiring
-#                  tests in rt and sim, the histogram-vs-reservoir
+#                  tests in rt and sim, the histogram-vs-exact-percentile
 #                  cross-check, aidserve's metrics endpoint and per-class
 #                  shed attribution, and aidstat's committed golden fixture
 #   make bench   - the full benchmark harness (figures + micro-benchmarks)
@@ -66,7 +68,8 @@ test: build
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/pool/... ./internal/rt/... ./internal/fair/...
+	$(GO) test -race ./internal/core/... ./internal/pool/... ./internal/rt/... ./internal/fair/... \
+		./internal/sim/... ./internal/obs/... ./internal/replay/... ./cmd/aidserve/...
 	$(GO) test ./...
 
 race-multiloop:

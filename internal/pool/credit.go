@@ -106,8 +106,8 @@ func creditClamp(batch, chunk, remaining int64) int64 {
 // TryStealCredit removes up to chunk iterations with batched credit-based
 // claiming: a claim that has to go to the pool acquires CreditBatch×chunk
 // iterations in one fetch-and-add (home shard preferred, richest foreign
-// shard as fallback, exactly like TryStealBatch) and the surplus is kept in
-// the caller's credit, from which subsequent calls draw without touching
+// shard as fallback, exactly like TryStealBatchFrom) and the surplus is kept
+// in the caller's credit, from which subsequent calls draw without touching
 // shared memory. The steady-state cost is therefore one atomic RMW per
 // CreditBatch chunks and zero heap allocations.
 //

@@ -109,7 +109,7 @@ func TestReturnCreditDirect(t *testing.T) {
 	if _, _, _, ok := ws.TryStealCredit(0, chunk, &c); !ok {
 		t.Fatal("re-acquisition failed")
 	}
-	if _, _, _, ok := ws.TrySteal(0, 3); !ok {
+	if _, _, _, _, ok := ws.TryStealBatchFrom(0, 3, 3); !ok {
 		t.Fatal("intervening strict steal failed")
 	}
 	held := c.N()
@@ -301,7 +301,7 @@ func TestCreditStealAllocs(t *testing.T) {
 		t.Errorf("TryStealCredit allocates %v per op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
-		if _, _, _, ok := ws.TrySteal(1, 4); !ok {
+		if _, _, _, _, ok := ws.TryStealBatchFrom(1, 4, 4); !ok {
 			t.Fatal("pool drained mid-measurement")
 		}
 	}); n != 0 {
@@ -324,7 +324,7 @@ func BenchmarkHotPath(b *testing.B) {
 				b.ReportAllocs()
 				benchSteal(b, threads, func(g int) func() {
 					home := g % 2
-					return func() { ws.TrySteal(home, chunk) }
+					return func() { ws.TryStealBatchFrom(home, chunk, chunk) }
 				})
 			})
 			b.Run(fmt.Sprintf("claim=credit/chunk=%d/threads=%d", chunk, threads), func(b *testing.B) {

@@ -99,7 +99,7 @@ func TestReweightMovesUnclaimedWork(t *testing.T) {
 		ws := NewSharded(ni, []int{1, 1})
 		// Consume a little from each home so the leftover is fragmented.
 		for home := 0; home < 2; home++ {
-			lo, hi, _, ok := ws.TrySteal(home, 100)
+			lo, hi, _, _, ok := ws.TryStealBatchFrom(home, 100, 100)
 			if !ok {
 				t.Fatal("warm-up steal failed")
 			}
@@ -123,7 +123,7 @@ func TestReweightMovesUnclaimedWork(t *testing.T) {
 		// shards are gone.
 		base := ws.ForeignClaims()
 		for own0 > 0 {
-			lo, hi, _, ok := ws.TrySteal(0, 7)
+			lo, hi, _, _, ok := ws.TryStealBatchFrom(0, 7, 7)
 			if !ok {
 				t.Fatal("home steal failed with home work left")
 			}
@@ -134,7 +134,7 @@ func TestReweightMovesUnclaimedWork(t *testing.T) {
 			t.Fatalf("%d foreign claims while home shards had work", got)
 		}
 		for {
-			lo, hi, _, ok := ws.TrySteal(1, 7)
+			lo, hi, _, _, ok := ws.TryStealBatchFrom(1, 7, 7)
 			if !ok {
 				break
 			}
@@ -148,7 +148,7 @@ func TestReweightMovesUnclaimedWork(t *testing.T) {
 func TestReweightEmptyAndDegenerate(t *testing.T) {
 	ws := NewSharded(10, []int{1, 1})
 	for {
-		if _, _, _, ok := ws.TrySteal(0, 4); !ok {
+		if _, _, _, _, ok := ws.TryStealBatchFrom(0, 4, 4); !ok {
 			break
 		}
 	}
@@ -156,7 +156,7 @@ func TestReweightEmptyAndDegenerate(t *testing.T) {
 	if ws.Remaining() != 0 {
 		t.Fatalf("drained pool has %d remaining after reweight", ws.Remaining())
 	}
-	if _, _, _, ok := ws.TrySteal(1, 1); ok {
+	if _, _, _, _, ok := ws.TryStealBatchFrom(1, 1, 1); ok {
 		t.Fatal("claim on drained reweighted pool succeeded")
 	}
 
@@ -166,7 +166,7 @@ func TestReweightEmptyAndDegenerate(t *testing.T) {
 	if ws.Remaining() != 100 {
 		t.Fatalf("double reweight lost work: %d remaining", ws.Remaining())
 	}
-	lo, hi, _, ok := ws.TrySteal(1, 5) // type 1 must hand off from type 0's shards
+	lo, hi, _, _, ok := ws.TryStealBatchFrom(1, 5, 5) // type 1 must hand off from type 0's shards
 	if !ok || hi-lo != 5 {
 		t.Fatalf("post-reweight handoff = [%d,%d) ok=%v", lo, hi, ok)
 	}
@@ -224,9 +224,9 @@ func TestReweightConcurrentCoverage(t *testing.T) {
 					}
 					ok = len(rs) > 0
 				case n%3 == 0:
-					lo, hi, _, ok = ws.TryStealBatch(home, 2, 8)
+					lo, hi, _, _, ok = ws.TryStealBatchFrom(home, 2, 8)
 				default:
-					lo, hi, _, ok = ws.TrySteal(home, 3)
+					lo, hi, _, _, ok = ws.TryStealBatchFrom(home, 3, 3)
 				}
 				for i := lo; i < hi; i++ {
 					seen[i].Add(1)

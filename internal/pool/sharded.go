@@ -23,9 +23,9 @@ func (r Range) N() int64 { return r.Hi - r.Lo }
 // HandoffBatch is the multiplier applied to a steal request when it has to
 // be served from a foreign shard: the thief claims up to HandoffBatch times
 // the requested size in one atomic operation and keeps the surplus in a
-// thread-local stash (see TryStealBatch). Amortizing foreign-shard accesses
-// this way keeps cross-core-type cache-line traffic bounded even after a
-// shard drains.
+// thread-local stash (see TryStealBatchFrom). Amortizing foreign-shard
+// accesses this way keeps cross-core-type cache-line traffic bounded even
+// after a shard drains.
 const HandoffBatch = 4
 
 // shard is one sub-pool: a contiguous iteration range with a single claim
@@ -317,10 +317,6 @@ func (ws *ShardedWorkShare) ForeignClaims() int64 { return ws.foreign.Load() }
 // handoff stash) do not count — they are spoken for.
 func (ws *ShardedWorkShare) Remaining() int64 { return ws.gen.Load().remaining() }
 
-// ShardRemaining returns the unclaimed iteration count of one shard of the
-// current generation.
-func (ws *ShardedWorkShare) ShardRemaining(i int) int64 { return ws.gen.Load().shards[i].remaining() }
-
 // Reweight re-partitions the pool's remaining iterations under new per-type
 // weights: the current generation's shards are drained, the leftovers are
 // re-cut at proportional boundaries (one or more contiguous shards per
@@ -428,34 +424,21 @@ func badSteal(home int, chunk int64) {
 	panic(fmt.Sprintf("pool: bad steal request (home %d, chunk %d)", home, chunk))
 }
 
-// TrySteal removes up to chunk iterations, preferring the caller's home
-// shard and falling over to the richest foreign shard when it drains. It is
-// the strict (unbatched) removal path used by the conventional schedules:
-// every call claims at most chunk iterations, exactly like
-// gomp_iter_dynamic_next. accesses reports the RMW operations performed
-// (minimum 1, the drained-pool observation the caller is charged for).
-// The hot path is one flag load plus one fetch-and-add on the home shard's
-// private cache line.
-func (ws *ShardedWorkShare) TrySteal(home int, chunk int64) (lo, hi int64, accesses int, ok bool) {
-	lo, hi, _, accesses, ok = ws.TryStealBatchFrom(home, chunk, chunk)
-	return lo, hi, accesses, ok
-}
-
-// TryStealBatch is TrySteal with batched handoff: a claim served by the
-// caller's home shard returns at most chunk iterations, but a claim that
-// had to fall over to a foreign shard returns up to batch iterations in one
-// RMW. The caller keeps the surplus in thread-local state, amortizing the
-// contended foreign access. batch must be >= chunk.
-func (ws *ShardedWorkShare) TryStealBatch(home int, chunk, batch int64) (lo, hi int64, accesses int, ok bool) {
-	lo, hi, _, accesses, ok = ws.TryStealBatchFrom(home, chunk, batch)
-	return lo, hi, accesses, ok
-}
-
-// TryStealBatchFrom is TryStealBatch additionally reporting the claimed
-// range's provenance: from is the owner core type of the shard the range
-// came from (the caller's own clamped type on the home fast path), which
-// the cost model prices by topology distance. Foreign victims are picked
-// nearest-first (see SetTopology).
+// TryStealBatchFrom removes a chunk, preferring the caller's home shard
+// and falling over to the richest foreign shard when it drains. A claim
+// served by the caller's home shard returns at most chunk iterations; a
+// claim that had to fall over to a foreign shard returns up to batch
+// iterations in one RMW (batched handoff), and the caller keeps the surplus
+// in thread-local state, amortizing the contended foreign access. batch
+// must be >= chunk; batch == chunk is the strict (unbatched) removal path
+// the conventional schedules use, where every call claims at most chunk
+// iterations, exactly like gomp_iter_dynamic_next. from is the owner core
+// type of the shard the range came from (the caller's own clamped type on
+// the home fast path), which the cost model prices by topology distance;
+// foreign victims are picked nearest-first (see SetTopology). accesses
+// reports the RMW operations performed (minimum 1, the drained-pool
+// observation the caller is charged for). The hot path is one flag load
+// plus one fetch-and-add on the home shard's private cache line.
 func (ws *ShardedWorkShare) TryStealBatchFrom(home int, chunk, batch int64) (lo, hi int64, from, accesses int, ok bool) {
 	if chunk <= 0 || home < 0 || batch < chunk {
 		badSteal(home, chunk)
@@ -500,19 +483,13 @@ func (ws *ShardedWorkShare) TryStealBatchFrom(home int, chunk, batch int64) (lo,
 	}
 }
 
-// TryStealFunc removes a chunk whose size depends on the total number of
-// remaining iterations, as the guided schedule requires. sizeOf receives
+// TryStealFuncFrom removes a chunk whose size depends on the total number
+// of remaining iterations, as the guided schedule requires. sizeOf receives
 // the global remaining count (always > 0) and must return a positive size;
 // the claim is CAS-based on a single shard (home preferred) and clipped at
-// the shard boundary. accesses reports RMW attempts including CAS retries.
-func (ws *ShardedWorkShare) TryStealFunc(home int, sizeOf func(remaining int64) int64) (lo, hi int64, accesses int, ok bool) {
-	lo, hi, _, accesses, ok = ws.TryStealFuncFrom(home, sizeOf)
-	return lo, hi, accesses, ok
-}
-
-// TryStealFuncFrom is TryStealFunc additionally reporting the claimed
-// range's provenance (the owner core type of the shard it was cut from);
-// foreign victims are picked nearest-first when a topology is installed.
+// the shard boundary. from is the owner core type of the shard the range
+// was cut from; foreign victims are picked nearest-first when a topology is
+// installed. accesses reports RMW attempts including CAS retries.
 func (ws *ShardedWorkShare) TryStealFuncFrom(home int, sizeOf func(remaining int64) int64) (lo, hi int64, from, accesses int, ok bool) {
 	if home < 0 {
 		panic(fmt.Sprintf("pool: home shard %d out of range", home))

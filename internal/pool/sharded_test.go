@@ -57,9 +57,9 @@ func TestShardedValidation(t *testing.T) {
 		func() { NewSharded(10, nil) },
 		func() { NewSharded(10, []int{0, 0}) },
 		func() { NewSharded(10, []int{-1, 2}) },
-		func() { NewSharded(10, []int{1}).TrySteal(0, 0) },
-		func() { NewSharded(10, []int{1}).TrySteal(-1, 1) },
-		func() { NewSharded(10, []int{1}).TryStealBatch(0, 4, 2) },
+		func() { NewSharded(10, []int{1}).TryStealBatchFrom(0, 0, 0) },
+		func() { NewSharded(10, []int{1}).TryStealBatchFrom(-1, 1, 1) },
+		func() { NewSharded(10, []int{1}).TryStealBatchFrom(0, 4, 2) },
 		func() { NewSharded(10, []int{1}).StealSpan(0, 0) },
 	} {
 		func() {
@@ -98,7 +98,7 @@ func TestShardedStealCoverage(t *testing.T) {
 	cover(t, ni, func(mark func(lo, hi int64)) {
 		ws := NewSharded(ni, []int{2, 2})
 		for home := 0; ; home = 1 - home {
-			lo, hi, acc, ok := ws.TrySteal(home, 7)
+			lo, hi, _, acc, ok := ws.TryStealBatchFrom(home, 7, 7)
 			if !ok {
 				if acc < 1 {
 					t.Fatal("failed steal reported no accesses")
@@ -114,12 +114,12 @@ func TestShardedHandoffBatches(t *testing.T) {
 	// Home shard 0 is empty (zero weight); a chunk-1 batched steal must
 	// come back from the foreign shard with up to batch iterations.
 	ws := NewSharded(100, []int{0, 1})
-	lo, hi, _, ok := ws.TryStealBatch(0, 1, 8)
+	lo, hi, _, _, ok := ws.TryStealBatchFrom(0, 1, 8)
 	if !ok || hi-lo != 8 {
 		t.Fatalf("handoff claim = [%d,%d) ok=%v, want 8 iterations", lo, hi, ok)
 	}
 	// Strict steal never exceeds the requested chunk, even on handoff.
-	lo, hi, _, ok = ws.TrySteal(0, 3)
+	lo, hi, _, _, ok = ws.TryStealBatchFrom(0, 3, 3)
 	if !ok || hi-lo != 3 {
 		t.Fatalf("strict handoff claim = [%d,%d) ok=%v, want 3 iterations", lo, hi, ok)
 	}
@@ -127,7 +127,7 @@ func TestShardedHandoffBatches(t *testing.T) {
 
 func TestShardedHomeClamp(t *testing.T) {
 	ws := NewSharded(10, []int{4})
-	lo, hi, _, ok := ws.TrySteal(3, 5) // home beyond shard count clamps
+	lo, hi, _, _, ok := ws.TryStealBatchFrom(3, 5, 5) // home beyond shard count clamps
 	if !ok || lo != 0 || hi != 5 {
 		t.Fatalf("clamped steal = [%d,%d) ok=%v", lo, hi, ok)
 	}
@@ -176,7 +176,7 @@ func TestShardedStealFunc(t *testing.T) {
 		ws := NewSharded(ni, []int{2, 2})
 		first := true
 		for {
-			lo, hi, _, ok := ws.TryStealFunc(1, func(rem int64) int64 {
+			lo, hi, _, _, ok := ws.TryStealFuncFrom(1, func(rem int64) int64 {
 				if first {
 					if rem != ni {
 						t.Fatalf("first sizeOf saw remaining %d, want %d", rem, ni)
@@ -223,9 +223,9 @@ func TestShardedConcurrentCoverage(t *testing.T) {
 					}
 					ok = len(rs) > 0
 				case n%3 == 0:
-					lo, hi, _, ok = ws.TryStealBatch(home, 2, 8)
+					lo, hi, _, _, ok = ws.TryStealBatchFrom(home, 2, 8)
 				default:
-					lo, hi, _, ok = ws.TrySteal(home, 3)
+					lo, hi, _, _, ok = ws.TryStealBatchFrom(home, 3, 3)
 				}
 				for i := lo; i < hi; i++ {
 					seen[i].Add(1)
@@ -265,7 +265,7 @@ func BenchmarkChunkRemoval(b *testing.B) {
 			ws := NewSharded(int64(b.N)*2+4096, []int{1, 1})
 			benchSteal(b, threads, func(g int) func() {
 				home := g % 2
-				return func() { ws.TrySteal(home, 1) }
+				return func() { ws.TryStealBatchFrom(home, 1, 1) }
 			})
 		})
 	}

@@ -173,7 +173,7 @@ func TestMultiLoopEqualWeightsBalanced(t *testing.T) {
 
 // TestMultiLoopSingleMatchesDedicatedDistribution runs one loop through
 // RunLoops and through RunLoop and asserts the dynamic scheduler makes the
-// same per-thread distribution decisions (the multi-loop engine differs
+// same per-thread distribution decisions (RunLoops differs from fork mode
 // only in fork/join accounting, which dynamic ignores).
 func TestMultiLoopSingleMatchesDedicatedDistribution(t *testing.T) {
 	cfg := multiCfg(16)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/fair"
 	"repro/internal/trace"
 )
 
@@ -42,8 +43,13 @@ func CostFromRecord(cr *trace.CostRecord) (CostModel, error) {
 	return nil, fmt.Errorf("sim: unknown cost record kind %q", cr.Kind)
 }
 
-// beginRecording stamps the run header for a recorded execution.
-func beginRecording(cfg Config, policy string, startNs int64) error {
+// beginRecording stamps the run header for a recorded execution. Fork mode
+// (nil policy) records no policy name.
+func beginRecording(cfg Config, policy fair.Policy, startNs int64) error {
+	name := ""
+	if policy != nil {
+		name = policy.Name()
+	}
 	var migs []trace.MigrationRecord
 	for _, m := range cfg.Migrations {
 		migs = append(migs, trace.MigrationRecord{AtNs: m.AtNs, Tid: m.Tid, ToCPU: m.ToCPU})
@@ -53,56 +59,20 @@ func beginRecording(cfg Config, policy string, startNs int64) error {
 		Platform:   trace.PlatformRecordOf(cfg.Platform),
 		NThreads:   cfg.NThreads,
 		Binding:    cfg.Binding.String(),
-		Policy:     policy,
+		Policy:     name,
 		StartNs:    startNs,
 		Migrations: migs,
 	})
 }
 
-// addLoopRecord registers one loop descriptor with the recorder and returns
-// its record index.
-func addLoopRecord(rec *trace.Recorder, spec LoopSpec, sched core.Scheduler) int {
-	return rec.AddLoop(trace.LoopRecord{
+// addLoopRecord registers one loop descriptor with the recorder.
+func addLoopRecord(rec *trace.Recorder, spec LoopSpec, sched core.Scheduler) {
+	rec.AddLoop(trace.LoopRecord{
 		Name:      spec.Name,
 		NI:        spec.NI,
 		Weight:    spec.Weight,
 		Scheduler: sched.Name(),
 		Profile:   spec.Profile,
 		Cost:      costRecord(spec.Cost),
-	})
-}
-
-// phaseRecorder returns the decision-capture sink for loop idx: it forwards
-// the scheduler's phase transitions into the run record. The simulator is
-// single-goroutine, so the sink appends directly.
-func phaseRecorder(rec *trace.Recorder, idx int) func(core.PhaseEvent) {
-	return func(ev core.PhaseEvent) {
-		rec.Phase(trace.PhaseEvent{TimeNs: ev.TimeNs, Tid: ev.Tid, Loop: idx,
-			Epoch: ev.Epoch, Kind: ev.Kind, SF: ev.SF})
-	}
-}
-
-// installPhaseSinks chains the non-nil sinks behind one phase observer when
-// the scheduler exposes its transitions. A Scheduler holds a single observer
-// slot, so every consumer — the recorder's decision capture, the engines'
-// live-SF tracking — must share it through this chain.
-func installPhaseSinks(sched core.Scheduler, sinks ...func(core.PhaseEvent)) {
-	po, ok := sched.(core.PhaseObservable)
-	if !ok {
-		return
-	}
-	var live []func(core.PhaseEvent)
-	for _, s := range sinks {
-		if s != nil {
-			live = append(live, s)
-		}
-	}
-	if len(live) == 0 {
-		return
-	}
-	po.SetPhaseObserver(func(ev core.PhaseEvent) {
-		for _, s := range live {
-			s(ev)
-		}
 	})
 }

@@ -11,11 +11,14 @@
 // deterministic: the same configuration always yields the same trace.
 //
 // One simulated worker thread is bound to each platform CPU according to
-// the SB/BS convention (§5). Worker execution interleaves through a
+// the SB/BS convention (§5). Worker execution interleaves through one
 // earliest-clock-first event loop; each scheduler invocation is charged the
 // platform's pool-access, contention, timestamp and locality costs, and each
 // chunk's execution time follows the platform speed model for the loop's
-// instruction-mix profile.
+// instruction-mix profile. Both entry points drive that loop: RunLoops runs
+// a persistent fleet shared by several loops under a fairness policy, and
+// RunLoop is its fork mode — one loop that every worker joins at a fork and
+// leaves at an implicit barrier, charged the platform's fork/join cost.
 package sim
 
 import (
@@ -98,14 +101,14 @@ type LoopSpec struct {
 	Cost CostModel
 	// Weight is the loop's relative fairness share when several loops run
 	// concurrently on one fleet (RunLoops); 0 selects the default weight 1.
-	// Single-loop execution (RunLoop) ignores it.
+	// RunLoop's fork mode never consults a fairness policy and ignores it.
 	Weight int
 	// Arrive is the loop's admission time on the virtual clock under
-	// multi-loop execution (RunLoops) — the open-loop arrival stamp. The
-	// loop is invisible to the fairness policy before Arrive, and its
-	// latency is End-Arrive. Values at or below the run's startNs
-	// (including the zero value) mean "admitted at start", which keeps the
-	// closed-loop callers unchanged. Single-loop execution ignores it.
+	// RunLoops — the open-loop arrival stamp. The loop is invisible to the
+	// fairness policy before Arrive, and its latency is End-Arrive. Values at
+	// or below the run's startNs (including the zero value) mean "admitted
+	// at start", which keeps the closed-loop callers unchanged. RunLoop's
+	// fork mode ignores it: the loop starts at the fork, startNs.
 	Arrive int64
 }
 
@@ -225,17 +228,17 @@ type LoopResult struct {
 	// EnergyJ is the modeled energy of the loop in Joules, summed over the
 	// worker-occupied cores: each worker draws its core type's ActiveW from
 	// fork to its barrier arrival and IdleW from there to barrier release.
-	// Unoccupied cores are not charged. Filled by single-loop execution
-	// (RunLoop); the multi-loop engine leaves it zero, since fleet energy
-	// cannot be attributed to one loop.
+	// Unoccupied cores are not charged. Filled in fork mode (RunLoop);
+	// RunLoops leaves it zero, since a persistent fleet's energy cannot be
+	// attributed to one loop.
 	EnergyJ float64
 	// ClusterEnergyJ breaks EnergyJ down by platform cluster.
 	ClusterEnergyJ []float64
 	// Metrics is the loop's runtime-counter snapshot, populated when
-	// Config.Metrics is set. Under single-loop execution (RunLoop) IdleNs
-	// is each worker's barrier wait; the multi-loop engine leaves IdleNs
-	// zero, because a worker retired from one loop moves on to others and
-	// its waits are not attributable to any single loop.
+	// Config.Metrics is set. In fork mode (RunLoop) IdleNs is each worker's
+	// barrier wait and SchedNs includes the fork/join cost; RunLoops leaves
+	// IdleNs zero, because a worker retired from one loop moves on to
+	// others and its waits are not attributable to any single loop.
 	Metrics *obs.Snapshot
 }
 
@@ -303,269 +306,20 @@ func contenders(activeByType []int, activeCount, ownType, origin int) int {
 }
 
 // RunLoop simulates one execution of the loop starting at startNs and
-// returns the result. The caller sequences loops and serial phases.
+// returns the result. The caller sequences loops and serial phases. It is
+// the fork mode of the engine's one event loop (see simulate): every worker
+// forks at startNs, serves this loop alone, and waits at its implicit
+// barrier.
 func RunLoop(cfg Config, spec LoopSpec, startNs int64) (LoopResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return LoopResult{}, err
 	}
-	if err := spec.Validate(); err != nil {
+	spec.Arrive = startNs // the fork admits the loop
+	rs, err := simulate(cfg, []LoopSpec{spec}, nil, startNs)
+	if err != nil {
 		return LoopResult{}, err
 	}
-	info := loopInfo(cfg, spec.NI)
-	sched, err := cfg.buildScheduler(spec.Name, info)
-	if err != nil {
-		return LoopResult{}, fmt.Errorf("sim: building scheduler for loop %q: %w", spec.Name, err)
-	}
-	recLoop := -1
-	var recSink func(core.PhaseEvent)
-	if cfg.Recorder != nil {
-		if err := beginRecording(cfg, "", startNs); err != nil {
-			return LoopResult{}, err
-		}
-		recLoop = addLoopRecord(cfg.Recorder, spec, sched)
-		recSink = phaseRecorder(cfg.Recorder, recLoop)
-	}
-	var traj []SFPoint
-	installPhaseSinks(sched, recSink, func(ev core.PhaseEvent) {
-		if ev.SF != nil {
-			traj = append(traj, SFPoint{TimeNs: ev.TimeNs, SF: ev.SF})
-		}
-	})
-	if est, isEst := sched.(core.SFEstimator); isEst {
-		// Offline-SF variants publish their table at construction, before
-		// any phase event fires; seed the trajectory with it.
-		if sf, ready := est.SFEstimate(); ready {
-			traj = append(traj, SFPoint{TimeNs: startNs, SF: sf})
-		}
-	}
-
-	pl := cfg.Platform
-	ov := pl.Overhead
-	res := LoopResult{
-		Start:         startNs,
-		Iters:         make([]int64, cfg.NThreads),
-		Finish:        make([]int64, cfg.NThreads),
-		SchedulerName: sched.Name(),
-	}
-
-	// Pre-resolve per-thread core, cluster, speed and cluster occupancy.
-	coreOf := make([]int, cfg.NThreads)
-	typeOf := make([]int, cfg.NThreads)
-	speed := make([]float64, cfg.NThreads)
-	activeInCluster := make([]int, len(pl.Clusters))
-	// activeByType counts threads still scheduling per core type — the
-	// population of each type's pool-shard line, which is what a claim on
-	// that shard contends with.
-	activeByType := make([]int, len(pl.Clusters))
-	dist := pl.TypeDist()
-	for tid := 0; tid < cfg.NThreads; tid++ {
-		coreOf[tid] = pl.CoreOf(tid, cfg.NThreads, cfg.Binding)
-		typeOf[tid] = pl.ClusterOf(coreOf[tid])
-		activeInCluster[typeOf[tid]]++
-		activeByType[typeOf[tid]]++
-	}
-	for tid := 0; tid < cfg.NThreads; tid++ {
-		speed[tid] = pl.Speed(coreOf[tid], spec.Profile, activeInCluster[typeOf[tid]])
-	}
-
-	// Counter cells, keyed by each worker's home cluster at fork time (a
-	// later migration moves the worker, not its occupancy bucket — same
-	// convention as the registry's binding-derived home types).
-	var met *obs.Metrics
-	if cfg.Metrics {
-		met = obs.New(cfg.NThreads, len(pl.Clusters), func(tid int) int { return typeOf[tid] })
-	}
-
-	// Fork: every thread pays the fork half of the fork/join cost.
-	forkNs := int64(ov.ForkJoinNs / 2)
-	clock := make([]int64, cfg.NThreads)
-	lastHi := make([]int64, cfg.NThreads)
-	active := make([]bool, cfg.NThreads)
-	for tid := range clock {
-		clock[tid] = startNs + forkNs
-		lastHi[tid] = -1
-		active[tid] = true
-		res.SchedNs += forkNs
-		if cfg.Trace != nil {
-			cfg.Trace.Add(tid, startNs, clock[tid], trace.Sched)
-		}
-		if met != nil {
-			met.Cell(tid).Sched(forkNs)
-		}
-	}
-
-	// Pending migrations, consumed in order per thread.
-	pending := append([]Migration(nil), cfg.Migrations...)
-	migratable, _ := sched.(core.Migratable)
-
-	activeCount := cfg.NThreads
-	for activeCount > 0 {
-		// Earliest-clock-first; ties resolve to the lowest thread ID, which
-		// keeps the simulation deterministic.
-		tid := -1
-		for i := 0; i < cfg.NThreads; i++ {
-			if active[i] && (tid == -1 || clock[i] < clock[tid]) {
-				tid = i
-			}
-		}
-		now := clock[tid]
-		// Deliver any due migration for this thread before it re-enters the
-		// runtime (the "signal observed at next runtime call" semantics).
-		for i := 0; i < len(pending); i++ {
-			mg := pending[i]
-			if mg.Tid != tid || mg.AtNs > now {
-				continue
-			}
-			if mg.ToCPU < 0 || mg.ToCPU >= pl.NumCores() {
-				return LoopResult{}, fmt.Errorf("sim: migration to invalid CPU %d", mg.ToCPU)
-			}
-			oldCluster := pl.ClusterOf(coreOf[tid])
-			newCluster := pl.ClusterOf(mg.ToCPU)
-			coreOf[tid] = mg.ToCPU
-			if oldCluster != newCluster {
-				activeInCluster[oldCluster]--
-				activeInCluster[newCluster]++
-				activeByType[oldCluster]--
-				activeByType[newCluster]++
-				typeOf[tid] = newCluster
-				// Cluster occupancies changed; refresh every thread's speed.
-				for t := 0; t < cfg.NThreads; t++ {
-					speed[t] = pl.Speed(coreOf[t], spec.Profile, activeInCluster[pl.ClusterOf(coreOf[t])])
-				}
-				if migratable != nil {
-					migratable.Migrate(tid, newCluster, now)
-				}
-			}
-			pending = append(pending[:i], pending[i+1:]...)
-			i--
-		}
-		asg, ok := sched.Next(tid, now)
-
-		// Charge the runtime-call overhead whether or not work was handed
-		// out (the final empty call still costs a pool access). Contention
-		// is charged by the occupancy of the accessed shard's line — the
-		// threads actually sharing it — not by the whole fleet.
-		contend := contenders(activeByType, activeCount, typeOf[tid], asg.Origin)
-		ovhNs := float64(asg.PoolAccesses)*(ov.PoolAccessNs+ov.ContentionNs*float64(contend)) +
-			float64(asg.Timestamps)*ov.TimestampNs
-		res.PoolAccesses += int64(asg.PoolAccesses)
-		if !ok {
-			end := now + int64(ovhNs)
-			if cfg.Trace != nil {
-				cfg.Trace.Add(tid, now, end, trace.Sched)
-			}
-			if cfg.Recorder != nil {
-				cfg.Recorder.Chunk(trace.ChunkEvent{TimeNs: now, Tid: tid, Loop: recLoop,
-					Shard: pl.ClusterOf(coreOf[tid]), Origin: asg.Origin,
-					PoolAccesses: asg.PoolAccesses,
-					Timestamps: asg.Timestamps, Retire: true})
-			}
-			if met != nil {
-				c := met.Cell(tid)
-				c.Sched(int64(ovhNs))
-				c.Credit(asg.CreditClaimed, asg.CreditReturned)
-			}
-			res.SchedNs += int64(ovhNs)
-			res.Finish[tid] = end
-			active[tid] = false
-			activeCount--
-			activeByType[typeOf[tid]]--
-			continue
-		}
-		// Locality penalty: a chunk that does not extend the thread's
-		// previous one lands cold in the cache (§2), at a price tiered by
-		// the chunk's provenance.
-		if asg.Lo != lastHi[tid] {
-			ovhNs += localityNs(ov, dist, typeOf[tid], asg.Origin)
-		}
-		lastHi[tid] = asg.Hi
-
-		units := spec.Cost.RangeUnits(asg.Lo, asg.Hi)
-		execNs := units / speed[tid]
-		schedEnd := now + int64(ovhNs)
-		runEnd := schedEnd + int64(execNs)
-		if cfg.Trace != nil {
-			cfg.Trace.Add(tid, now, schedEnd, trace.Sched)
-			cfg.Trace.Add(tid, schedEnd, runEnd, trace.Running)
-		}
-		if cfg.Recorder != nil {
-			cfg.Recorder.Chunk(trace.ChunkEvent{TimeNs: now, Tid: tid, Loop: recLoop,
-				Lo: asg.Lo, Hi: asg.Hi, Shard: pl.ClusterOf(coreOf[tid]), Origin: asg.Origin,
-				Cost: units, ExecNs: int64(execNs), PoolAccesses: asg.PoolAccesses,
-				Timestamps: asg.Timestamps})
-		}
-		if met != nil {
-			c := met.Cell(tid)
-			c.Grant(asg.N(), obs.Tier(dist, typeOf[tid], asg.Origin))
-			c.Credit(asg.CreditClaimed, asg.CreditReturned)
-			c.Sched(int64(ovhNs))
-			c.Busy(int64(execNs))
-		}
-		res.SchedNs += int64(ovhNs)
-		res.Iters[tid] += asg.N()
-		clock[tid] = runEnd
-	}
-
-	if est, isEst := sched.(core.SFEstimator); isEst {
-		if sf, ready := est.SFEstimate(); ready {
-			res.SFEstimate = sf
-		}
-	}
-	res.SFTrajectory = traj
-
-	// Implicit barrier: release at the max finish time plus the join half.
-	var maxFinish int64
-	for _, f := range res.Finish {
-		if f > maxFinish {
-			maxFinish = f
-		}
-	}
-	joinNs := int64(ov.ForkJoinNs) - forkNs
-	res.End = maxFinish + joinNs
-	if cfg.Trace != nil {
-		for tid := 0; tid < cfg.NThreads; tid++ {
-			cfg.Trace.Add(tid, res.Finish[tid], maxFinish, trace.Sync)
-			cfg.Trace.Add(tid, maxFinish, res.End, trace.Sched)
-		}
-	}
-	res.SchedNs += joinNs
-	if met != nil {
-		// Quiescent merge (obs doc.go, invariant 5): the event loop is done,
-		// so writing barrier-wait idle into every worker's cell is safe.
-		for tid := 0; tid < cfg.NThreads; tid++ {
-			c := met.Cell(tid)
-			if gap := maxFinish - res.Finish[tid]; gap > 0 {
-				c.Idle(gap)
-			}
-			c.Sched(joinNs)
-		}
-		if rc, isRC := sched.(core.ReweightCounter); isRC {
-			met.Cell(0).SetReweights(rc.PoolReweights())
-		}
-		snap := met.Snapshot()
-		res.Metrics = &snap
-	}
-	// Energy: each worker's core draws ActiveW until the worker reaches the
-	// barrier and IdleW while it waits for release.
-	res.ClusterEnergyJ = make([]float64, len(pl.Clusters))
-	for tid := 0; tid < cfg.NThreads; tid++ {
-		ct := &pl.Clusters[typeOf[tid]].Type
-		j := (float64(res.Finish[tid]-res.Start)*ct.ActiveW +
-			float64(res.End-res.Finish[tid])*ct.IdleW) * 1e-9
-		res.ClusterEnergyJ[typeOf[tid]] += j
-		res.EnergyJ += j
-	}
-	if cfg.Recorder != nil {
-		if res.SFEstimate != nil {
-			cfg.Recorder.SFSample(trace.SFSample{TimeNs: res.End, Loop: recLoop,
-				SF: append([]float64(nil), res.SFEstimate...)})
-		}
-		if cfg.Trace != nil {
-			cfg.Recorder.AttachTimeline(cfg.Trace)
-		}
-		cfg.Recorder.EndRun(res.End - res.Start)
-	}
-	return res, nil
+	return rs[0], nil
 }
 
 // MeasureLoopSF reproduces the paper's offline SF measurement (§2): run the
