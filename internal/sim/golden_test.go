@@ -21,6 +21,12 @@ import (
 // the engine must leave it untouched.
 const goldenDigest = "cc2f96bf3683a2c7485df13ff33cdf4885d3aa172709fcf34a64ff6440329c26"
 
+// goldenTimelineDigest pins the same cases without the record bytes: every
+// LoopResult and every interval of the observed runs' timelines. It stays
+// put when only the record format changes, so it proves a timeline is
+// reproduced interval for interval however it is produced.
+const goldenTimelineDigest = "098609ad34b3a5232a7beee7c4247aee5d6e753f0adb128f404f34762e310120"
+
 var goldenFactories = []struct {
 	name string
 	f    SchedulerFactory
@@ -92,7 +98,7 @@ func hashTrace(h hash.Hash, tr *trace.Trace) {
 // and RunLoops with five staggered, weighted loops under WRR, FCFS and
 // SF-aware picks with recorder and metrics on.
 func TestGoldenDigest(t *testing.T) {
-	all := sha256.New()
+	all, timelines := sha256.New(), sha256.New()
 	platforms := []struct {
 		pl      *amp.Platform
 		nt      int
@@ -121,9 +127,11 @@ func TestGoldenDigest(t *testing.T) {
 				}
 				h := sha256.New()
 				hashResult(t, h, r)
+				hashResult(t, timelines, r)
 				if rec != nil {
 					hashRecord(t, h, rec)
 					hashTrace(h, cfg.Trace)
+					hashTrace(timelines, cfg.Trace)
 				}
 				sum := h.Sum(nil)
 				t.Logf("RunLoop %s/%s/%s %x", p.pl.Name, gf.name, mode, sum[:6])
@@ -168,6 +176,7 @@ func TestGoldenDigest(t *testing.T) {
 		h := sha256.New()
 		for _, r := range rs {
 			hashResult(t, h, r)
+			hashResult(t, timelines, r)
 		}
 		hashRecord(t, h, rec)
 		sum := h.Sum(nil)
@@ -177,5 +186,8 @@ func TestGoldenDigest(t *testing.T) {
 
 	if got := hex.EncodeToString(all.Sum(nil)); got != goldenDigest {
 		t.Errorf("golden digest = %s, want %s", got, goldenDigest)
+	}
+	if got := hex.EncodeToString(timelines.Sum(nil)); got != goldenTimelineDigest {
+		t.Errorf("golden timeline digest = %s, want %s", got, goldenTimelineDigest)
 	}
 }
