@@ -1,6 +1,6 @@
 # CI entry points for the conf_icpp_SaezCP20 reproduction.
 #
-#   make ci      - everything a PR must pass: vet, build, race tests,
+#   make ci      - everything a PR must pass: vet (plus gofmt), build, race tests,
 #                  multi-loop conformance/race under -race -count=2,
 #                  replay determinism, the allocation/layout gates,
 #                  short-mode benchmarks
@@ -60,6 +60,7 @@ ci: vet build race race-multiloop replay-determinism alloc-check zoo-check obs-c
 
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -120,7 +121,7 @@ bench:
 bench-short:
 	rm -f $(BENCHTMP) $(BENCHTMP).part
 	$(GO) test -short -run=XXX -bench=BenchmarkChunkRemoval -benchtime=100000x ./internal/pool/
-	$(GO) test -short -run=XXX -bench=BenchmarkWorkShareSteal -benchtime=100000x .
+	$(GO) test -short -run=XXX -bench=BenchmarkWorkShareSteal -benchtime=100000x ./internal/pool/
 	$(GO) test -short -run=XXX -bench=BenchmarkMultiLoop -benchtime=2x ./internal/rt/ > $(BENCHTMP).part
 	mv $(BENCHTMP).part $(BENCHTMP)
 	cat $(BENCHTMP)

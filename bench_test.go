@@ -15,7 +15,6 @@ import (
 	"repro/internal/amp"
 	"repro/internal/core"
 	"repro/internal/exps"
-	"repro/internal/pool"
 	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -218,28 +217,6 @@ func BenchmarkZoo(b *testing.B) {
 }
 
 // --- micro-benchmarks of the runtime primitives ---
-
-// BenchmarkWorkShareSteal measures the lock-free iteration pool's
-// fetch-and-add path (the hot path of every dynamic-family schedule).
-func BenchmarkWorkShareSteal(b *testing.B) {
-	ws := pool.NewWorkShare(int64(b.N) + 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ws.TrySteal(1)
-	}
-}
-
-// BenchmarkWorkShareStealParallel measures the pool under goroutine
-// contention.
-func BenchmarkWorkShareStealParallel(b *testing.B) {
-	ws := pool.NewWorkShare(int64(b.N) + 1024)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			ws.TrySteal(1)
-		}
-	})
-}
 
 func benchScheduler(b *testing.B, mk func(info core.LoopInfo) (core.Scheduler, error)) {
 	info := core.LoopInfo{

@@ -109,17 +109,15 @@ func run(platform string, threads int, bindingText, schedText string,
 		fmt.Printf("offline SF: %.2f\n", sf)
 	}
 	for _, sched := range schedules {
-		var tr *trace.Trace
-		if showTrace {
-			tr = trace.New(threads)
-		}
 		cfg := sim.Config{
 			Platform:   pl,
 			NThreads:   threads,
 			Binding:    binding,
 			Factory:    sched.Factory(),
 			Migrations: migrations,
-			Trace:      tr,
+		}
+		if showTrace {
+			cfg.Recorder = trace.NewRecorder()
 		}
 		res, err := sim.RunLoop(cfg, spec, 0)
 		if err != nil {
@@ -127,8 +125,8 @@ func run(platform string, threads int, bindingText, schedText string,
 		}
 		fmt.Printf("%-20s %12.3f ms   pool accesses %7d   sched time %8.3f ms\n",
 			sched, float64(res.End-res.Start)/1e6, res.PoolAccesses, float64(res.SchedNs)/1e6)
-		if tr != nil {
-			fmt.Print(tr.Render(88))
+		if showTrace {
+			fmt.Print(cfg.Recorder.Record().Trace().Render(88))
 		}
 	}
 	return nil

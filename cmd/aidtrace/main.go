@@ -180,7 +180,6 @@ func runRecord(path, app, schedText, bindingText, platform, engine string) error
 			NThreads: r.pl.NumCores(),
 			Binding:  r.binding,
 			Factory:  r.sched.Factory(),
-			Trace:    trace.New(r.pl.NumCores()),
 			Recorder: recorder,
 		}
 		res, err := sim.RunLoop(cfg, r.spec, 0)
@@ -360,13 +359,12 @@ func run(figNo int, app, schedText, bindingText, platform string) error {
 	if err != nil {
 		return err
 	}
-	tr := trace.New(r.pl.NumCores())
 	cfg := sim.Config{
 		Platform: r.pl,
 		NThreads: r.pl.NumCores(),
 		Binding:  r.binding,
 		Factory:  r.sched.Factory(),
-		Trace:    tr,
+		Recorder: trace.NewRecorder(),
 	}
 	res, err := sim.RunLoop(cfg, r.spec, 0)
 	if err != nil {
@@ -374,6 +372,6 @@ func run(figNo int, app, schedText, bindingText, platform string) error {
 	}
 	fmt.Printf("%s / loop %q / %s / %s binding / Platform %s (completion: %d ns)\n",
 		r.workload, r.spec.Name, r.sched, r.binding, r.pl.Name, res.End-res.Start)
-	fmt.Print(tr.Render(88))
+	fmt.Print(cfg.Recorder.Record().Trace().Render(88))
 	return nil
 }

@@ -42,7 +42,6 @@ func main() {
 		Platform: pl,
 		NThreads: pl.NumCores(),
 		Factory:  sched.Factory(),
-		Trace:    trace.New(pl.NumCores()),
 		Recorder: rec,
 	}
 	spec := sim.LoopSpec{

@@ -44,21 +44,20 @@ func epMainLoop() sim.LoopSpec {
 	return loops[0]
 }
 
-// traceLoop runs one loop under a scheme with tracing enabled.
+// traceLoop runs one recorded loop under a scheme and derives its timeline.
 func traceLoop(pl *amp.Platform, nthreads int, s Scheme, spec sim.LoopSpec, title string) (TraceResult, error) {
-	tr := trace.New(nthreads)
 	cfg := sim.Config{
 		Platform: pl,
 		NThreads: nthreads,
 		Binding:  s.Binding,
 		Factory:  s.Sched.Factory(),
-		Trace:    tr,
+		Recorder: trace.NewRecorder(),
 	}
 	res, err := sim.RunLoop(cfg, spec, 0)
 	if err != nil {
 		return TraceResult{}, err
 	}
-	return TraceResult{Title: title, Trace: tr, CompletionNs: res.End - res.Start}, nil
+	return TraceResult{Title: title, Trace: cfg.Recorder.Record().Trace(), CompletionNs: res.End - res.Start}, nil
 }
 
 // RunFig1 regenerates Fig. 1: EP under static with 4 threads on (a) two big

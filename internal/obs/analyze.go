@@ -20,8 +20,8 @@ type Analysis struct {
 	StartNs int64
 	// Threads is the per-thread usage breakdown, indexed by tid.
 	Threads []ThreadUsage
-	// ImbalancePct is the paper's load-imbalance metric over the busy
-	// times: (1 - avg/max) * 100.
+	// ImbalancePct is the load-imbalance metric (trace.Imbalance) over the
+	// threads' busy times: 100·(max−min)/max.
 	ImbalancePct float64
 	// TierCounts buckets every grant by provenance tier (Tier-indexed).
 	TierCounts [3]int64
@@ -134,21 +134,15 @@ func Analyze(rec *trace.Record) (*Analysis, error) {
 	if a.SpanNs <= 0 && maxEnd > a.StartNs {
 		a.SpanNs = maxEnd - a.StartNs
 	}
-	var maxBusy, sumBusy int64
+	busy := make([]int64, len(a.Threads))
 	for tid := range a.Threads {
 		th := &a.Threads[tid]
 		if a.SpanNs > 0 {
 			th.UtilPct = 100 * float64(th.BusyNs) / float64(a.SpanNs)
 		}
-		sumBusy += th.BusyNs
-		if th.BusyNs > maxBusy {
-			maxBusy = th.BusyNs
-		}
+		busy[tid] = th.BusyNs
 	}
-	if maxBusy > 0 {
-		avg := float64(sumBusy) / float64(len(a.Threads))
-		a.ImbalancePct = (1 - avg/float64(maxBusy)) * 100
-	}
+	a.ImbalancePct = trace.Imbalance(busy)
 	for _, p := range rec.Phases {
 		ls := &a.Loops[p.Loop]
 		if _, seen := ls.PhaseCounts[p.Kind]; !seen {
@@ -190,7 +184,7 @@ func WriteReport(w io.Writer, rec *trace.Record, a *Analysis) error {
 		e.printf("t%-3d %-4d %12.3f %7.1f %8d %9d  %s\n",
 			th.Tid, th.Type, float64(th.BusyNs)/1e6, th.UtilPct, th.Chunks, th.Iters, strips[th.Tid])
 	}
-	e.printf("\nimbalance: %.1f%% (1 - avg/max busy)\n", a.ImbalancePct)
+	e.printf("\nimbalance: %.1f%% ((max - min)/max busy)\n", a.ImbalancePct)
 
 	e.printf("\nsteals by tier: home=%d same-pkg=%d cross-pkg=%d (shared-pool grants: %d)\n",
 		a.TierCounts[TierHome], a.TierCounts[TierSamePkg], a.TierCounts[TierCross], a.SharedGrants)

@@ -110,11 +110,13 @@ func (g *generation) remaining() int64 {
 	return r
 }
 
-// ShardedWorkShare is the sharded version of WorkShare: the iteration space
-// is partitioned into one contiguous sub-pool per core type, sized
+// ShardedWorkShare is the per-loop iteration pool, a sharded form of
+// libgomp's single fetch-and-add counter: the iteration space is
+// partitioned into one contiguous sub-pool per core type, sized
 // proportionally to the number of threads of that type. Threads remove
 // chunks from their home shard with a single fetch-and-add — the same lock
-// free hot path as WorkShare, minus the cross-core-type contention — and
+// free hot path as the single counter, minus the cross-core-type
+// contention — and
 // fall over to the richest foreign shard when their home shard drains.
 //
 // The partition is replaceable mid-loop: Reweight drains the current
@@ -265,7 +267,7 @@ func checkWeights(weights []int) int64 {
 // NewSharded partitions [0, ni) into one shard per entry of weights, with
 // shard sizes proportional to the weights (typically the per-core-type
 // thread counts). A zero weight yields an empty shard; the weight sum must
-// be positive. ni may be 0; negative values panic like NewWorkShare.
+// be positive. ni may be 0; negative values panic.
 //
 // A pool may be built with fewer shards than the platform has core types
 // (a single shard preserves the unsharded global consumption order, which

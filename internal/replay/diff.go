@@ -40,10 +40,10 @@ type summary struct {
 	makespan  float64
 	pool      float64
 	chunks    float64
-	runNs     []float64 // per thread
+	runNs     []float64 // per thread, from the derived timeline
 	schedNs   []float64
 	syncNs    []float64
-	haveTimes bool // timeline-derived Sched/Sync available
+	imbalance float64
 	finalSF   map[string][]float64
 	sfSamples map[string]int
 }
@@ -64,20 +64,12 @@ func summarize(rec *trace.Record) *summary {
 		}
 	}
 	if tr := rec.Trace(); tr != nil {
-		s.haveTimes = true
 		for tid := 0; tid < rec.NThreads; tid++ {
 			s.runNs[tid] = float64(tr.TimeIn(tid, trace.Running))
 			s.schedNs[tid] = float64(tr.TimeIn(tid, trace.Sched))
 			s.syncNs[tid] = float64(tr.TimeIn(tid, trace.Sync))
 		}
-	} else {
-		// No timeline (multi-loop records): derive Running from the
-		// per-event execution times; Sched/Sync are not comparable.
-		for _, ev := range rec.Events {
-			if !ev.Retire {
-				s.runNs[ev.Tid] += float64(ev.ExecNs)
-			}
-		}
+		s.imbalance = tr.ImbalancePct()
 	}
 	for _, sf := range rec.SFSamples {
 		name := loopName(rec, sf.Loop)
@@ -92,20 +84,6 @@ func loopName(rec *trace.Record, li int) string {
 		return rec.Loops[li].Name
 	}
 	return fmt.Sprintf("loop-%d", li)
-}
-
-// imbalancePct mirrors trace.Trace.ImbalancePct over per-thread Running
-// time: 100·(maxRun−minRun)/maxRun.
-func imbalancePct(runNs []float64) float64 {
-	minR, maxR := math.Inf(1), 0.0
-	for _, r := range runNs {
-		minR = math.Min(minR, r)
-		maxR = math.Max(maxR, r)
-	}
-	if maxR == 0 {
-		return 0
-	}
-	return 100 * (maxR - minR) / maxR
 }
 
 func sum(xs []float64) float64 {
@@ -137,17 +115,15 @@ func Diff(a, b *trace.Record, tolPct float64) *Report {
 	costMetric("pool_accesses", sa.pool, sb.pool)
 	costMetric("chunks", sa.chunks, sb.chunks)
 	costMetric("running_ns_total", sum(sa.runNs), sum(sb.runNs))
-	if sa.haveTimes && sb.haveTimes {
-		costMetric("sched_ns_total", sum(sa.schedNs), sum(sb.schedNs))
-		// Sync time is informational only: where the idle time sits is
-		// already judged by makespan and imbalance — a schedule can
-		// lengthen the barrier wait in absolute terms while finishing
-		// sooner, which is an improvement, not a regression.
-		va, vb := sum(sa.syncNs), sum(sb.syncNs)
-		rep.Metrics = append(rep.Metrics, Metric{Name: "sync_ns_total", A: va, B: vb, DeltaPct: deltaPct(va, vb)})
-	}
+	costMetric("sched_ns_total", sum(sa.schedNs), sum(sb.schedNs))
+	// Sync time is informational only: where the idle time sits is already
+	// judged by makespan and imbalance — a schedule can lengthen the
+	// barrier wait in absolute terms while finishing sooner, which is an
+	// improvement, not a regression.
+	va, vb := sum(sa.syncNs), sum(sb.syncNs)
+	rep.Metrics = append(rep.Metrics, Metric{Name: "sync_ns_total", A: va, B: vb, DeltaPct: deltaPct(va, vb)})
 	// Imbalance is already a percentage; compare in absolute points.
-	ia, ib := imbalancePct(sa.runNs), imbalancePct(sb.runNs)
+	ia, ib := sa.imbalance, sb.imbalance
 	im := Metric{Name: "imbalance_pct", A: ia, B: ib, DeltaPct: ib - ia}
 	im.Regression = ib-ia > tolPct
 	rep.Metrics = append(rep.Metrics, im)

@@ -206,7 +206,7 @@ func scriptsOf(rec *trace.Record) (scheds []*scriptSched, visit [][]int) {
 		s.perThread[ev.Tid] = append(s.perThread[ev.Tid], grant{
 			lo: ev.Lo, hi: ev.Hi, origin: ev.Origin,
 			poolAccesses: ev.PoolAccesses,
-			timestamps: ev.Timestamps, retire: ev.Retire,
+			timestamps:   ev.Timestamps, retire: ev.Retire,
 		})
 		visit[ev.Tid] = append(visit[ev.Tid], ev.Loop)
 	}
@@ -253,7 +253,7 @@ func Exact(rec *trace.Record) (*Result, error) {
 		Recorder:   trace.NewRecorder(),
 	}
 	pol := &scriptPolicy{perThread: visit, pos: make([]int, rec.NThreads)}
-	res, err := runConfigured(cfg, rec, specs, pol, rec.Timeline != nil)
+	res, err := runConfigured(cfg, rec, specs, pol)
 	if err != nil {
 		return nil, err
 	}
@@ -264,16 +264,12 @@ func Exact(rec *trace.Record) (*Result, error) {
 }
 
 // runConfigured executes a rebuilt configuration through the matching
-// engine: single-loop records run through sim.RunLoop (with a per-thread
-// timeline when withTrace is set); multi-loop records run through
-// sim.RunLoops under the given fairness policy. Shared by exact (scripted
-// schedulers + scripted policy) and what-if (real schedulers + real
-// policy) replay.
-func runConfigured(cfg sim.Config, rec *trace.Record, specs []sim.LoopSpec, policy fair.Policy, withTrace bool) (*Result, error) {
-	if len(specs) == 1 && rec.Policy == "" {
-		if withTrace {
-			cfg.Trace = trace.New(cfg.NThreads)
-		}
+// engine: fork/join records (Record.ForkJoin) run through sim.RunLoop;
+// multi-loop records run through sim.RunLoops under the given fairness
+// policy. Shared by exact (scripted schedulers + scripted policy) and
+// what-if (real schedulers + real policy) replay.
+func runConfigured(cfg sim.Config, rec *trace.Record, specs []sim.LoopSpec, policy fair.Policy) (*Result, error) {
+	if rec.ForkJoin() {
 		r, err := sim.RunLoop(cfg, specs[0], rec.StartNs)
 		if err != nil {
 			return nil, err
@@ -478,7 +474,7 @@ func WhatIf(rec *trace.Record, wcfg WhatIfConfig) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("replay: unknown fairness policy %q (wrr, fcfs or sf-aware)", polName)
 	}
-	res, err := runConfigured(cfg, rec, specs, policy, true)
+	res, err := runConfigured(cfg, rec, specs, policy)
 	if err != nil {
 		return nil, err
 	}

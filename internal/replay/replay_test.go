@@ -2,17 +2,20 @@ package replay
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/amp"
+	"repro/internal/obs"
 	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
 // recordSim records one simulated loop under the given schedule text.
-func recordSim(t *testing.T, schedText string, spec sim.LoopSpec, withTrace bool) *trace.Record {
+func recordSim(t *testing.T, schedText string, spec sim.LoopSpec) *trace.Record {
 	t.Helper()
 	sched, err := rt.ParseSchedule(schedText)
 	if err != nil {
@@ -25,9 +28,6 @@ func recordSim(t *testing.T, schedText string, spec sim.LoopSpec, withTrace bool
 		NThreads: pl.NumCores(),
 		Factory:  sched.Factory(),
 		Recorder: rec,
-	}
-	if withTrace {
-		cfg.Trace = trace.New(pl.NumCores())
 	}
 	if _, err := sim.RunLoop(cfg, spec, 0); err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func roundTrip(t *testing.T, rec *trace.Record) *trace.Record {
 // makespan (verified inside Exact), and two replays serialize identically.
 func TestExactReplaySimLoop(t *testing.T) {
 	for _, schedText := range []string{"aid-dynamic,1,5", "aid-static", "dynamic,8", "static", "aid-auto,16,64"} {
-		rec := roundTrip(t, recordSim(t, schedText, epSpec(), true))
+		rec := roundTrip(t, recordSim(t, schedText, epSpec()))
 		r1, err := Exact(rec)
 		if err != nil {
 			t.Fatalf("%s: Exact: %v", schedText, err)
@@ -79,12 +79,10 @@ func TestExactReplaySimLoop(t *testing.T) {
 			t.Fatalf("%s: makespan %d, recorded %d", schedText, r1.MakespanNs, rec.MakespanNs)
 		}
 		// The replayed record reproduces the recorded timeline too.
-		if len(r1.Record.Timeline) != len(rec.Timeline) {
-			t.Fatalf("%s: replayed %d timeline intervals, recorded %d", schedText, len(r1.Record.Timeline), len(rec.Timeline))
-		}
-		for i, iv := range r1.Record.Timeline {
-			if iv != rec.Timeline[i] {
-				t.Fatalf("%s: timeline interval %d diverged: %+v vs %+v", schedText, i, iv, rec.Timeline[i])
+		got, want := r1.Record.Trace(), rec.Trace()
+		for tid := 0; tid < rec.NThreads; tid++ {
+			if !reflect.DeepEqual(got.Intervals(tid), want.Intervals(tid)) {
+				t.Fatalf("%s: thread %d timeline diverged:\n%v\n%v", schedText, tid, got.Intervals(tid), want.Intervals(tid))
 			}
 		}
 		r2, err := Exact(rec)
@@ -94,6 +92,42 @@ func TestExactReplaySimLoop(t *testing.T) {
 		if !bytes.Equal(encode(t, r1.Record), encode(t, r2.Record)) {
 			t.Fatalf("%s: two exact replays serialized differently", schedText)
 		}
+	}
+}
+
+// v1Record is a version 1 sim record, stored timeline ("iv" lines) and
+// all: two workers on Platform A running eight iterations under dynamic,3.
+const v1Record = `{"t":"run","d":{"version":1,"engine":"sim","platform":{"name":"A (Odroid-XU4 big.LITTLE)","clusters":[{"Type":{"Name":"Cortex-A15","FreqGHz":2,"DutyCycle":1,"IPCScalar":1,"IPCMax":3.3,"MemGBps":1.6,"ActiveW":1.8,"IdleW":0.15},"NumCores":4,"LLCMB":2,"MissSlope":0.75,"SatGBps":1.7,"Package":0},{"Type":{"Name":"Cortex-A7","FreqGHz":1.5,"DutyCycle":1,"IPCScalar":0.7,"IPCMax":0.52,"MemGBps":1.45,"ActiveW":0.33,"IdleW":0.03},"NumCores":4,"LLCMB":0.5,"MissSlope":0.45,"SatGBps":1.7,"Package":0}],"overhead":{"PoolAccessNs":120,"ContentionNs":105,"LocalityPenaltyNs":160,"LocalityForeignNs":240,"LocalityRemoteNs":400,"ForkJoinNs":9000,"TimestampNs":30}},"nthreads":2,"binding":"BS","start_ns":0,"makespan_ns":12390}}
+{"t":"loop","d":{"index":0,"name":"v1","ni":8,"scheduler":"dynamic","schedule":"dynamic,3","profile":{"ILP":0,"MemIntensity":0,"FootprintMB":0},"cost":{"kind":"uniform","base":1000}}}
+{"t":"ev","d":{"seq":0,"time_ns":4500,"tid":0,"loop":0,"lo":0,"hi":3,"shard":0,"cost":3000,"exec_ns":1500,"pool":1}}
+{"t":"ev","d":{"seq":1,"time_ns":4500,"tid":1,"loop":0,"lo":3,"hi":6,"shard":0,"cost":3000,"exec_ns":1500,"pool":1}}
+{"t":"ev","d":{"seq":2,"time_ns":6385,"tid":0,"loop":0,"lo":6,"hi":8,"shard":0,"cost":2000,"exec_ns":1000,"pool":1}}
+{"t":"ev","d":{"seq":3,"time_ns":6385,"tid":1,"loop":0,"lo":0,"hi":0,"shard":0,"pool":1,"retire":true}}
+{"t":"ev","d":{"seq":4,"time_ns":7770,"tid":0,"loop":0,"lo":0,"hi":0,"shard":0,"pool":1,"retire":true}}
+{"t":"iv","d":{"tid":0,"start_ns":0,"end_ns":4885,"state":1}}
+{"t":"iv","d":{"tid":0,"start_ns":4885,"end_ns":6385,"state":0}}
+{"t":"iv","d":{"tid":0,"start_ns":6385,"end_ns":6770,"state":1}}
+{"t":"iv","d":{"tid":0,"start_ns":6770,"end_ns":7770,"state":0}}
+{"t":"iv","d":{"tid":0,"start_ns":7770,"end_ns":12390,"state":1}}
+{"t":"iv","d":{"tid":1,"start_ns":0,"end_ns":4885,"state":1}}
+{"t":"iv","d":{"tid":1,"start_ns":4885,"end_ns":6385,"state":0}}
+{"t":"iv","d":{"tid":1,"start_ns":6385,"end_ns":6610,"state":1}}
+{"t":"iv","d":{"tid":1,"start_ns":6610,"end_ns":7890,"state":2}}
+{"t":"iv","d":{"tid":1,"start_ns":7890,"end_ns":12390,"state":1}}
+`
+
+// TestExactReplayVersion1Record: a version 1 record still decodes, its
+// stored timeline skipped, and replays exactly.
+func TestExactReplayVersion1Record(t *testing.T) {
+	rec, err := trace.DecodeJSONL(strings.NewReader(v1Record))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Version != 1 || len(rec.Events) != 5 {
+		t.Fatalf("decoded version %d with %d events, want version 1 with 5", rec.Version, len(rec.Events))
+	}
+	if _, err := Exact(rec); err != nil {
+		t.Fatalf("Exact: %v", err)
 	}
 }
 
@@ -142,7 +176,7 @@ func TestExactReplaySimMultiLoop(t *testing.T) {
 // events and must replay cleanly.
 func TestExactReplayZeroTripLoop(t *testing.T) {
 	spec := sim.LoopSpec{Name: "empty", NI: 0, Cost: sim.UniformCost{PerIter: 1}}
-	rec := roundTrip(t, recordSim(t, "dynamic,4", spec, false))
+	rec := roundTrip(t, recordSim(t, "dynamic,4", spec))
 	if _, err := Exact(rec); err != nil {
 		t.Fatalf("Exact on zero-trip record: %v", err)
 	}
@@ -151,7 +185,7 @@ func TestExactReplayZeroTripLoop(t *testing.T) {
 // TestExactDetectsCorruptRecord: dropping a grant or granting twice must
 // fail coverage verification, not silently replay.
 func TestExactDetectsCorruptRecord(t *testing.T) {
-	rec := roundTrip(t, recordSim(t, "dynamic,8", epSpec(), false))
+	rec := roundTrip(t, recordSim(t, "dynamic,8", epSpec()))
 	// Drop the first real grant: a coverage hole.
 	holed := roundTrip(t, rec)
 	for i, ev := range holed.Events {
@@ -184,7 +218,7 @@ func TestExactDetectsCorruptRecord(t *testing.T) {
 // TestWhatIfSwapsScheduler runs the recorded workload under a different
 // scheduler and checks the counterfactual is deterministic and complete.
 func TestWhatIfSwapsScheduler(t *testing.T) {
-	rec := roundTrip(t, recordSim(t, "dynamic,1", epSpec(), true))
+	rec := roundTrip(t, recordSim(t, "dynamic,1", epSpec()))
 	w1, err := WhatIf(rec, WhatIfConfig{Schedule: "aid-static"})
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +254,7 @@ func TestWhatIfSwapsScheduler(t *testing.T) {
 // under its recorded schedule — reproducing the original makespan for a
 // sim-produced record, since the simulator is deterministic.
 func TestWhatIfKeepsRecordedSchedule(t *testing.T) {
-	rec := roundTrip(t, recordSim(t, "aid-dynamic,1,5", epSpec(), true))
+	rec := roundTrip(t, recordSim(t, "aid-dynamic,1,5", epSpec()))
 	w, err := WhatIf(rec, WhatIfConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +272,7 @@ func TestWhatIfFromRTRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, _, err := team.RecordParallelFor("rt-loop", 4096, func(_ int, lo, hi int64) {
+	rec, stats, err := team.RecordParallelFor("rt-loop", 4096, func(_ int, lo, hi int64) {
 		runtime.Gosched()
 	})
 	if err != nil {
@@ -247,6 +281,13 @@ func TestWhatIfFromRTRecord(t *testing.T) {
 	record := roundTrip(t, rec)
 	if record.Engine != "rt" {
 		t.Fatalf("record engine %q", record.Engine)
+	}
+	// The record's derived timeline is the loop's captured one.
+	tr := record.Trace()
+	for tid := 0; tid < record.NThreads; tid++ {
+		if !reflect.DeepEqual(tr.Intervals(tid), stats.Trace.Intervals(tid)) {
+			t.Fatalf("thread %d: record timeline %v, loop stats %v", tid, tr.Intervals(tid), stats.Trace.Intervals(tid))
+		}
 	}
 	// Exact replay: coverage and per-thread grant totals must verify.
 	if _, err := Exact(record); err != nil {
@@ -276,7 +317,7 @@ func TestWhatIfFromRTRecord(t *testing.T) {
 // TestDiffIdenticalRunsIsClean is the acceptance property for diff: zero
 // regressions for identical runs.
 func TestDiffIdenticalRunsIsClean(t *testing.T) {
-	rec := roundTrip(t, recordSim(t, "aid-dynamic,1,5", epSpec(), true))
+	rec := roundTrip(t, recordSim(t, "aid-dynamic,1,5", epSpec()))
 	rep := Diff(rec, roundTrip(t, rec), 2.0)
 	if rep.Regressions != 0 {
 		t.Fatalf("identical runs diffed with %d regressions:\n%s", rep.Regressions, rep)
@@ -291,7 +332,7 @@ func TestDiffIdenticalRunsIsClean(t *testing.T) {
 // TestDiffFlagsRegression: a candidate with a worse makespan and more pool
 // traffic must be flagged.
 func TestDiffFlagsRegression(t *testing.T) {
-	base := roundTrip(t, recordSim(t, "aid-static", epSpec(), true))
+	base := roundTrip(t, recordSim(t, "aid-static", epSpec()))
 	// dynamic,1 on this loop pays a pool access per iteration and a far
 	// larger runtime overhead: a genuine scheduling regression.
 	cand, err := WhatIf(base, WhatIfConfig{Schedule: "dynamic,1"})
@@ -320,7 +361,7 @@ func TestDiffFlagsRegression(t *testing.T) {
 // TestDiffImprovementIsNotRegression: a faster candidate must not be
 // flagged (cost metrics regress one-sided).
 func TestDiffImprovementIsNotRegression(t *testing.T) {
-	base := roundTrip(t, recordSim(t, "dynamic,1", epSpec(), true))
+	base := roundTrip(t, recordSim(t, "dynamic,1", epSpec()))
 	cand, err := WhatIf(base, WhatIfConfig{Schedule: "aid-static"})
 	if err != nil {
 		t.Fatal(err)
@@ -374,4 +415,38 @@ func TestPiecewiseCost(t *testing.T) {
 	if got := c.Units(5); got != 50 {
 		t.Errorf("Units(5) = %v, want 50", got)
 	}
+}
+
+// TestImbalanceOneDefinition: on a fixture where 100·(max−min)/max (80%)
+// and 100·(1−avg/max) (40%) of the busy times disagree, the timeline, the
+// flight-recorder analysis and the run diff report the same imbalance.
+func TestImbalanceOneDefinition(t *testing.T) {
+	rec := &trace.Record{Version: trace.RecordVersion, Engine: "sim",
+		Platform: trace.PlatformRecordOf(amp.PlatformA()), NThreads: 3, Binding: "BS", MakespanNs: 1200,
+		Loops: []trace.LoopRecord{{Name: "l", NI: 30, Scheduler: "static"}},
+		Events: []trace.ChunkEvent{
+			{Seq: 0, Tid: 0, Lo: 0, Hi: 10, SchedNs: 10, ExecNs: 1000},
+			{Seq: 1, Tid: 1, Lo: 10, Hi: 20, SchedNs: 10, ExecNs: 600},
+			{Seq: 2, Tid: 2, Lo: 20, Hi: 30, SchedNs: 10, ExecNs: 200},
+		}}
+	const want = 80.0
+	if got := rec.Trace().ImbalancePct(); got != want {
+		t.Errorf("Trace.ImbalancePct = %v, want %v", got, want)
+	}
+	a, err := obs.Analyze(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.ImbalancePct != want {
+		t.Errorf("obs.Analyze imbalance = %v, want %v", a.ImbalancePct, want)
+	}
+	for _, m := range Diff(rec, rec, 1).Metrics {
+		if m.Name == "imbalance_pct" {
+			if m.A != want || m.B != want {
+				t.Errorf("Diff imbalance = %v/%v, want %v", m.A, m.B, want)
+			}
+			return
+		}
+	}
+	t.Error("Diff reports no imbalance_pct")
 }

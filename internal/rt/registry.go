@@ -240,8 +240,9 @@ type LoopRequest struct {
 	Weight int
 	// Body executes iterations [lo, hi) on fleet worker tid.
 	Body func(tid int, lo, hi int64)
-	// Capture records the loop's real execution: wall-clock per-worker
-	// timelines, every chunk grant, and the scheduler's phase transitions.
+	// Capture records the loop's real execution: every chunk grant, from
+	// which the wall-clock per-worker timeline is derived, and the
+	// scheduler's phase transitions.
 	// Workers append to private per-worker tapes (the lock-free hot path
 	// stays lock free) which are merged when the loop's barrier releases;
 	// the result lands in LoopStats.Trace/Events/Phases and feeds
@@ -557,9 +558,6 @@ func (r *Registry) BuildRecord(loops ...*Loop) (*trace.Record, error) {
 				SF: append([]float64(nil), l.stats.SFEstimate...)})
 		}
 	}
-	if len(loops) == 1 {
-		rec.AttachTimeline(loops[0].stats.Trace)
-	}
 	rec.EndRun(endNs - startNs)
 	return rec.Record(), nil
 }
@@ -676,10 +674,9 @@ func (r *Registry) worker(tid int) {
 					}
 					if l.capture != nil {
 						tp := &l.capture[tid].WorkerTape
-						tp.Intervals = append(tp.Intervals, trace.Interval{Start: nowNs, End: schedEnd, State: trace.Sched})
 						tp.Events = append(tp.Events, trace.ChunkEvent{Seq: wseq, TimeNs: nowNs,
 							Tid: tid, Shard: r.types[tid], Origin: asg.Origin,
-							PoolAccesses: asg.PoolAccesses,
+							SchedNs: schedEnd - nowNs, PoolAccesses: asg.PoolAccesses,
 							Timestamps: asg.Timestamps, Retire: true})
 						wseq++
 					}
@@ -725,12 +722,9 @@ func (r *Registry) worker(tid int) {
 				}
 			}
 			tp := &l.capture[tid].WorkerTape
-			tp.Intervals = append(tp.Intervals,
-				trace.Interval{Start: nowNs, End: schedEnd, State: trace.Sched},
-				trace.Interval{Start: schedEnd, End: end, State: trace.Running})
 			tp.Events = append(tp.Events, trace.ChunkEvent{Seq: wseq, TimeNs: nowNs,
 				Tid: tid, Lo: asg.Lo, Hi: asg.Hi, Shard: r.types[tid], Origin: asg.Origin,
-				ExecNs: end - schedEnd,
+				SchedNs: schedEnd - nowNs, ExecNs: end - schedEnd,
 				PoolAccesses: asg.PoolAccesses, Timestamps: asg.Timestamps})
 			wseq++
 		}
@@ -923,9 +917,10 @@ func (r *Registry) MetricsEnabled() bool { return r.metrics != nil }
 
 // mergeCapture folds the per-worker tapes into the loop's stats once the
 // barrier has released (runs under the registry lock, after every worker's
-// retirement published its tape). Sync time — each worker's wait between
-// its own retirement and the barrier release — is synthesized here, like
-// the simulator does at its implicit barrier.
+// retirement published its tape). The timeline is derived from the full
+// merged event stream with the loop viewed as one fork/join barrier from
+// submission to the last retirement, the view BuildRecord's record of this
+// loop alone gets from Record.Trace.
 func (l *Loop) mergeCapture(nthreads int) {
 	var maxFinish int64
 	var nev, nph int
@@ -936,15 +931,10 @@ func (l *Loop) mergeCapture(nthreads int) {
 		nev += len(l.capture[tid].Events)
 		nph += len(l.capture[tid].Phases)
 	}
-	tr := trace.New(nthreads)
 	evs := make([]trace.ChunkEvent, 0, nev)
 	phs := make([]trace.PhaseEvent, 0, nph)
 	for tid := 0; tid < nthreads; tid++ {
 		tp := &l.capture[tid].WorkerTape
-		for _, iv := range tp.Intervals {
-			tr.Add(tid, iv.Start, iv.End, iv.State)
-		}
-		tr.Add(tid, l.cells[tid].finishNs, maxFinish, trace.Sync)
 		evs = append(evs, tp.Events...)
 		phs = append(phs, tp.Phases...)
 	}
@@ -953,6 +943,9 @@ func (l *Loop) mergeCapture(nthreads int) {
 	// events whose wall-clock stamps collide; the Recorder assigns the
 	// global sequence when a record is built.
 	sortEvents(evs)
+	// The timeline keeps full coverage: it is derived before the
+	// sampled-capture reductions.
+	l.stats.Trace = trace.FromEvents(nthreads, evs, l.startNs, maxFinish, true)
 	// The sampled-capture reductions run here, after the merge sort and
 	// before publication: compaction needs the engines' event order, and
 	// the budget must bound what the loop's stats (and any record built
@@ -964,7 +957,6 @@ func (l *Loop) mergeCapture(nthreads int) {
 	sort.Sort(phaseEventOrder(phs))
 	l.stats.StartNs = l.startNs
 	l.stats.EndNs = maxFinish
-	l.stats.Trace = tr
 	l.stats.Events = evs
 	l.stats.Phases = phs
 }

@@ -49,9 +49,9 @@ type TeamConfig struct {
 	// Profile is the instruction mix used to derive emulated slowdown
 	// factors from the platform model; the zero value is a moderate mix.
 	Profile amp.Profile
-	// Capture records every ParallelFor execution: per-worker wall-clock
-	// timelines, chunk grants and scheduler phase transitions, surfaced
-	// through LoopStats (the real-engine analog of sim.Config.Trace).
+	// Capture records every ParallelFor execution: chunk grants, the
+	// per-worker wall-clock timeline derived from them, and scheduler phase
+	// transitions, surfaced through LoopStats.
 	Capture bool
 }
 
@@ -138,10 +138,12 @@ type LoopStats struct {
 	// StartNs and EndNs bound the loop on the fleet's monotonic clock
 	// (submission to barrier release).
 	StartNs, EndNs int64
-	// Trace is the merged per-worker wall-clock timeline: Sched for time
-	// inside the scheduler, Running for chunk execution (including the
-	// small-core throttle), Sync for the wait between a worker's
-	// retirement and the barrier release.
+	// Trace is the per-worker wall-clock timeline derived from the full
+	// event stream (trace.FromEvents, before any capture compaction or
+	// budget): Sched from submission to a worker's first grant and inside
+	// the scheduler, Running for chunk execution (including the small-core
+	// throttle), Sync for the wait between a worker's retirement and the
+	// last retirement.
 	Trace *trace.Trace
 	// Events is the loop's chunk-grant stream in wall-clock order; Seq
 	// holds each event's per-worker capture sequence (the tie-break token

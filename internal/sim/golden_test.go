@@ -16,15 +16,17 @@ import (
 )
 
 // goldenDigest pins the simulator's output bit for bit: every LoopResult
-// field, the encoded JSONL run record and the trace intervals of the cases
-// below. A change to it means simulated numbers moved; a pure refactor of
-// the engine must leave it untouched.
-const goldenDigest = "cc2f96bf3683a2c7485df13ff33cdf4885d3aa172709fcf34a64ff6440329c26"
+// field, the encoded JSONL run record and the timeline intervals derived
+// from it in the cases below. A change to it means simulated numbers moved
+// or the record format changed; a pure refactor of the engine must leave
+// it untouched.
+const goldenDigest = "bf7f50bc5fedfe397dd17b8ff318a59f7223a6d8736d4d486a3c294be9b5d27e"
 
 // goldenTimelineDigest pins the same cases without the record bytes: every
 // LoopResult and every interval of the observed runs' timelines. It stays
-// put when only the record format changes, so it proves a timeline is
-// reproduced interval for interval however it is produced.
+// put when only the record format changes; it was pinned while the engine
+// still wrote timelines live, so it proves the timelines derived from the
+// chunk events reproduce those interval for interval.
 const goldenTimelineDigest = "098609ad34b3a5232a7beee7c4247aee5d6e753f0adb128f404f34762e310120"
 
 var goldenFactories = []struct {
@@ -94,7 +96,7 @@ func hashTrace(h hash.Hash, tr *trace.Trace) {
 
 // TestGoldenDigest is the characterization test of both entry points:
 // RunLoop on platforms A and Hybrid under five schedulers in a plain run, a
-// traced+recorded+metered run and a run with two cross-cluster migrations,
+// recorded+metered run and a run with two cross-cluster migrations,
 // and RunLoops with five staggered, weighted loops under WRR, FCFS and
 // SF-aware picks with recorder and metrics on.
 func TestGoldenDigest(t *testing.T) {
@@ -114,7 +116,6 @@ func TestGoldenDigest(t *testing.T) {
 				var rec *trace.Recorder
 				switch mode {
 				case "observed":
-					cfg.Trace = trace.New(p.nt)
 					rec = trace.NewRecorder()
 					cfg.Recorder = rec
 					cfg.Metrics = true
@@ -130,8 +131,9 @@ func TestGoldenDigest(t *testing.T) {
 				hashResult(t, timelines, r)
 				if rec != nil {
 					hashRecord(t, h, rec)
-					hashTrace(h, cfg.Trace)
-					hashTrace(timelines, cfg.Trace)
+					tl := rec.Record().Trace()
+					hashTrace(h, tl)
+					hashTrace(timelines, tl)
 				}
 				sum := h.Sum(nil)
 				t.Logf("RunLoop %s/%s/%s %x", p.pl.Name, gf.name, mode, sum[:6])

@@ -29,8 +29,8 @@ import (
 // The fleet is persistent, matching the registry: no per-loop fork/join
 // cost is charged, worker clocks start at startNs, and a loop's End is the
 // time its last worker retired from it (observed the drained pool). The
-// i-th result corresponds to specs[i]. Migrations and tracing are not
-// supported under multi-loop execution; configuring either is an error.
+// i-th result corresponds to specs[i]. Migrations are not supported under
+// multi-loop execution; configuring them is an error.
 func RunLoops(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) ([]LoopResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -40,9 +40,6 @@ func RunLoops(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) (
 	}
 	if len(cfg.Migrations) > 0 {
 		return nil, fmt.Errorf("sim: migrations are not supported under multi-loop execution")
-	}
-	if cfg.Trace != nil {
-		return nil, fmt.Errorf("sim: tracing is not supported under multi-loop execution")
 	}
 	if policy == nil {
 		policy = fair.NewWeightedRoundRobin(0)
@@ -124,8 +121,8 @@ type engine struct {
 // RunLoop's single forked loop: specs holds one loop, every worker is
 // engaged on it at fork with an unbounded burst (it never re-enters a
 // policy or scans arrivals), clocks start after the fork half of
-// ForkJoinNs, and the barrier adds the join half. Only fork mode emits the
-// fork/join trace intervals, barrier-idle metrics and energy.
+// ForkJoinNs, and the barrier adds the join half. Only fork mode books the
+// fork/join cost, barrier-idle metrics and energy.
 func simulate(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) ([]LoopResult, error) {
 	fork := policy == nil
 	pl := cfg.Platform
@@ -215,9 +212,6 @@ func simulate(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) (
 		// half of the fork/join cost (booked at the barrier).
 		for tid := range ws {
 			e.setCur(tid, 0)
-			if cfg.Trace != nil {
-				cfg.Trace.Add(tid, startNs, ws[tid].clock, trace.Sched)
-			}
 		}
 	}
 
@@ -302,15 +296,11 @@ func simulate(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) (
 		execNs := units / l.speed[tid]
 		schedEnd := now + int64(ovhNs)
 		runEnd := schedEnd + int64(execNs)
-		if cfg.Trace != nil {
-			cfg.Trace.Add(tid, now, schedEnd, trace.Sched)
-			cfg.Trace.Add(tid, schedEnd, runEnd, trace.Running)
-		}
 		if cfg.Recorder != nil {
 			cfg.Recorder.Chunk(trace.ChunkEvent{TimeNs: now, Tid: tid, Loop: li,
 				Lo: asg.Lo, Hi: asg.Hi, Shard: w.typ, Origin: asg.Origin,
-				Cost: units, ExecNs: int64(execNs), PoolAccesses: asg.PoolAccesses,
-				Timestamps: asg.Timestamps})
+				Cost: units, SchedNs: int64(ovhNs), ExecNs: int64(execNs),
+				PoolAccesses: asg.PoolAccesses, Timestamps: asg.Timestamps})
 		}
 		if l.met != nil {
 			c := l.met.Cell(tid)
@@ -331,9 +321,6 @@ func simulate(cfg Config, specs []LoopSpec, policy fair.Policy, startNs int64) (
 		maxEnd = max(maxEnd, results[li].End)
 	}
 	if cfg.Recorder != nil {
-		if cfg.Trace != nil {
-			cfg.Recorder.AttachTimeline(cfg.Trace)
-		}
 		cfg.Recorder.EndRun(maxEnd - startNs)
 	}
 	return results, nil
@@ -423,13 +410,10 @@ func (e *engine) pick(tid int, now int64) int {
 func (e *engine) retire(tid, li int, now int64, asg core.Assign, ovhNs float64) {
 	w, l := &e.ws[tid], &e.loops[li]
 	end := now + int64(ovhNs)
-	if e.cfg.Trace != nil {
-		e.cfg.Trace.Add(tid, now, end, trace.Sched)
-	}
 	if e.cfg.Recorder != nil {
 		e.cfg.Recorder.Chunk(trace.ChunkEvent{TimeNs: now, Tid: tid, Loop: li,
-			Shard: w.typ, Origin: asg.Origin, PoolAccesses: asg.PoolAccesses,
-			Timestamps: asg.Timestamps, Retire: true})
+			Shard: w.typ, Origin: asg.Origin, SchedNs: end - now,
+			PoolAccesses: asg.PoolAccesses, Timestamps: asg.Timestamps, Retire: true})
 	}
 	if l.met != nil {
 		c := l.met.Cell(tid)
@@ -455,8 +439,8 @@ func (e *engine) retire(tid, li int, now int64, asg core.Assign, ovhNs float64) 
 
 // release closes loop li's barrier: End is the last retirement, to which
 // fork mode adds the join half of the fork/join cost. Fork mode also books
-// the fork/join cost, the barrier's Sync/join trace intervals, each
-// worker's barrier-wait idle time and the loop's energy. Then it takes the
+// the fork/join cost, each worker's barrier-wait idle time and the loop's
+// energy. Then it takes the
 // final SF estimate and the metrics snapshot.
 func (e *engine) release(li int) {
 	cfg := e.cfg
@@ -474,10 +458,6 @@ func (e *engine) release(li int) {
 		res.SchedNs += int64(len(e.ws))*e.forkNs + joinNs
 		res.ClusterEnergyJ = make([]float64, len(pl.Clusters))
 		for tid, fin := range res.Finish {
-			if cfg.Trace != nil {
-				cfg.Trace.Add(tid, fin, maxFinish, trace.Sync)
-				cfg.Trace.Add(tid, maxFinish, res.End, trace.Sched)
-			}
 			if l.met != nil {
 				// Quiescent merge (obs doc.go, invariant 5): no worker runs,
 				// so writing fork/join and barrier-wait time into every cell

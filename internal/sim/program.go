@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/amp"
-	"repro/internal/trace"
 )
 
 // Phase is one element of a program: either a parallel loop (possibly
@@ -101,12 +100,6 @@ func RunProgram(cfg Config, prog Program) (ProgramResult, error) {
 			// Serial phase: the master thread alone, no cluster contention.
 			speed := pl.Speed(masterCore, ph.SerialProfile, 1)
 			dur := int64(ph.SerialUnits / speed)
-			if cfg.Trace != nil {
-				cfg.Trace.Add(0, cursor, cursor+dur, trace.Running)
-				for tid := 1; tid < cfg.NThreads; tid++ {
-					cfg.Trace.Add(tid, cursor, cursor+dur, trace.Sync)
-				}
-			}
 			cursor += dur
 			res.SerialNs += dur
 			continue

@@ -151,13 +151,11 @@ type Config struct {
 	// signal delivered to the process, observed at the next runtime call.
 	// Schedulers implementing core.Migratable are notified.
 	Migrations []Migration
-	// Trace, when non-nil, records per-thread timelines.
-	Trace *trace.Trace
 	// Recorder, when non-nil, captures the run as a serializable
 	// trace.Record — loop descriptors, every chunk grant with its
 	// runtime-cost metadata, AID phase transitions and the SF trajectory —
-	// for internal/replay. A Recorder serves exactly one RunLoop or
-	// RunLoops call.
+	// for internal/replay. Its Record().Trace() is the run's per-thread
+	// timeline. A Recorder serves exactly one RunLoop or RunLoops call.
 	Recorder *trace.Recorder
 	// Metrics populates LoopResult.Metrics with the runtime-counter
 	// snapshot (internal/obs) of each loop: chunks and steals by provenance

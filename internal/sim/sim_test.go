@@ -221,13 +221,13 @@ func TestDynamicWinsOnExpensiveIterations(t *testing.T) {
 
 func TestTraceRecording(t *testing.T) {
 	pl := amp.PlatformA()
-	tr := trace.New(8)
 	cfg := baseCfg(pl, 8, amp.BindBS, staticFactory)
-	cfg.Trace = tr
+	cfg.Recorder = trace.NewRecorder()
 	r, err := RunLoop(cfg, epLoop(4000), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := cfg.Recorder.Record().Trace()
 	if tr.EndTime() != r.End {
 		t.Errorf("trace end %d != loop end %d", tr.EndTime(), r.End)
 	}
@@ -245,13 +245,12 @@ func TestTraceRecording(t *testing.T) {
 
 func TestAIDStaticTraceBalanced(t *testing.T) {
 	pl := amp.PlatformA()
-	tr := trace.New(8)
 	cfg := baseCfg(pl, 8, amp.BindBS, aidStaticFactory)
-	cfg.Trace = tr
+	cfg.Recorder = trace.NewRecorder()
 	if _, err := RunLoop(cfg, epLoop(8000), 0); err != nil {
 		t.Fatal(err)
 	}
-	if imb := tr.ImbalancePct(); imb > 15 {
+	if imb := cfg.Recorder.Record().Trace().ImbalancePct(); imb > 15 {
 		t.Errorf("AID-static trace imbalance = %v%%, want < 15%%", imb)
 	}
 }
@@ -427,30 +426,6 @@ func TestProgramAccumulatesPhases(t *testing.T) {
 	}
 	if r.PoolAccesses < 3000 {
 		t.Errorf("3 reps of dynamic(1) over 1000 iters should log >=3000 accesses, got %d", r.PoolAccesses)
-	}
-}
-
-func TestProgramTraceContiguity(t *testing.T) {
-	// Trace intervals from serial and loop phases must not overlap.
-	pl := amp.PlatformA()
-	tr := trace.New(4)
-	loop := epLoop(500)
-	prog := Program{
-		Name: "t",
-		Phases: []Phase{
-			{SerialUnits: 1e6, SerialProfile: amp.Profile{ILP: 0.5}},
-			{Loop: &loop},
-			{SerialUnits: 1e6, SerialProfile: amp.Profile{ILP: 0.5}},
-			{Loop: &loop},
-		},
-	}
-	cfg := baseCfg(pl, 4, amp.BindBS, staticFactory)
-	cfg.Trace = tr
-	if _, err := RunProgram(cfg, prog); err != nil {
-		t.Fatal(err) // trace.Add panics on overlap, so reaching here is the test
-	}
-	if tr.EndTime() == 0 {
-		t.Error("no trace recorded")
 	}
 }
 

@@ -11,11 +11,11 @@ package trace
 
 // CompactEvents merges adjacent same-thread grants: consecutive events of
 // one worker in one loop whose ranges are contiguous (previous Hi == next
-// Lo) collapse into a single event spanning both, with their execution
-// time, cost and runtime-call charges summed. The merged event keeps the
-// first grant's Seq and TimeNs — it describes work that started then — so
-// a compacted stream stays chronologically ordered and replays through the
-// same code paths, just at coarser grain. Retirements never merge (they
+// Lo) collapse into a single event spanning both, with their scheduling
+// and execution times, cost and runtime-call charges summed. The merged
+// event keeps the first grant's Seq and TimeNs — it describes work that
+// started then — so a compacted stream stays chronologically ordered and
+// replays through the same code paths, just at coarser grain. Retirements never merge (they
 // are the barrier bookkeeping replay keys on), and events of different
 // loops or threads never merge across each other even when interleaved.
 //
@@ -36,6 +36,7 @@ func CompactEvents(evs []ChunkEvent) []ChunkEvent {
 			if !prev.Retire && prev.Loop == ev.Loop && prev.Hi == ev.Lo {
 				prev.Hi = ev.Hi
 				prev.Cost += ev.Cost
+				prev.SchedNs += ev.SchedNs
 				prev.ExecNs += ev.ExecNs
 				prev.PoolAccesses += ev.PoolAccesses
 				prev.Timestamps += ev.Timestamps

@@ -5,9 +5,11 @@ import (
 	"testing"
 )
 
+// grant builds a grant event whose scheduling window scales with its pool
+// accesses, so merged windows must sum like the accesses do.
 func grant(seq, t int64, tid, loop int, lo, hi, execNs int64, pool int) ChunkEvent {
 	return ChunkEvent{Seq: seq, TimeNs: t, Tid: tid, Loop: loop, Lo: lo, Hi: hi,
-		ExecNs: execNs, Cost: float64(execNs), PoolAccesses: pool}
+		SchedNs: 7 * int64(pool), ExecNs: execNs, Cost: float64(execNs), PoolAccesses: pool}
 }
 
 func retire(seq, t int64, tid, loop int) ChunkEvent {
@@ -50,17 +52,19 @@ func TestCompactRespectsBoundaries(t *testing.T) {
 		t.Fatalf("boundary-separated events were merged: %+v", got)
 	}
 	// Totals must be preserved by compaction whatever merges happen.
-	sum := func(evs []ChunkEvent) (iters int64, pool int) {
+	sum := func(evs []ChunkEvent) (iters, sched int64, pool int) {
 		for _, ev := range evs {
 			iters += ev.Hi - ev.Lo
+			sched += ev.SchedNs
 			pool += ev.PoolAccesses
 		}
 		return
 	}
-	wantIters, wantPool := sum(evs)
-	gotIters, gotPool := sum(got)
-	if gotIters != wantIters || gotPool != wantPool {
-		t.Fatalf("compaction changed totals: iters %d->%d pool %d->%d", wantIters, gotIters, wantPool, gotPool)
+	wantIters, wantSched, wantPool := sum(evs)
+	gotIters, gotSched, gotPool := sum(got)
+	if gotIters != wantIters || gotSched != wantSched || gotPool != wantPool {
+		t.Fatalf("compaction changed totals: iters %d->%d sched %d->%d pool %d->%d",
+			wantIters, gotIters, wantSched, gotSched, wantPool, gotPool)
 	}
 }
 

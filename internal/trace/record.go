@@ -11,8 +11,10 @@ import (
 
 // RecordVersion is the current serialization format version. Decode accepts
 // exactly the versions in [1, RecordVersion]; a record written by a newer
-// build fails loudly instead of being misinterpreted.
-const RecordVersion = 1
+// build fails loudly instead of being misinterpreted. Version 2 added
+// ChunkEvent.SchedNs and dropped the stored timeline ("iv" lines), which
+// version 1 records still carry and DecodeJSONL skips.
+const RecordVersion = 2
 
 // Record is a complete, serializable description of one recorded run — the
 // persistent form of the Paraver-style data this package previously only
@@ -20,8 +22,8 @@ const RecordVersion = 1
 // needs to re-execute the run deterministically in virtual time: the
 // platform model, the loop descriptors (workload + cost profile), every
 // chunk grant with its runtime-cost metadata, the AID schedulers' phase
-// transitions, the SF-estimate trajectory, and (for single-loop runs) the
-// per-thread timeline.
+// transitions and the SF-estimate trajectory. The per-thread timeline is
+// not stored: Trace derives it from the event stream.
 //
 // Records round-trip losslessly through EncodeJSONL/DecodeJSONL:
 // DecodeJSONL(EncodeJSONL(r)) is reflect.DeepEqual to r.
@@ -59,9 +61,6 @@ type Record struct {
 	// SFSamples is the SF-estimate trajectory (one sample per transition
 	// that published an estimate, plus the final estimate per loop).
 	SFSamples []SFSample `json:"-"`
-	// Timeline is the per-thread interval timeline of single-loop runs
-	// (nil when not captured, e.g. multi-loop runs).
-	Timeline []IntervalRecord `json:"-"`
 }
 
 // PlatformRecord is the serializable form of an amp.Platform.
@@ -162,6 +161,9 @@ type ChunkEvent struct {
 	// Cost is the chunk's work in abstract units (the simulator's
 	// RangeUnits; derived from ExecNs and the speed model under rt).
 	Cost float64 `json:"cost,omitempty"`
+	// SchedNs is the scheduler-call window from TimeNs: the chunk starts
+	// running at TimeNs+SchedNs, and a retiring worker finishes then.
+	SchedNs int64 `json:"sched_ns,omitempty"`
 	// ExecNs is the chunk's execution time on the producing engine.
 	ExecNs int64 `json:"exec_ns,omitempty"`
 	// PoolAccesses and Timestamps are the runtime-cost metadata of the
@@ -190,41 +192,19 @@ type SFSample struct {
 	SF     []float64 `json:"sf"`
 }
 
-// IntervalRecord is one serialized timeline interval.
-type IntervalRecord struct {
-	Tid     int   `json:"tid"`
-	StartNs int64 `json:"start_ns"`
-	EndNs   int64 `json:"end_ns"`
-	State   State `json:"state"`
-}
+// ForkJoin reports whether the record is one loop run without a fairness
+// policy: a fork/join loop that every worker joins at StartNs and leaves
+// through one barrier. Replay runs such records through sim.RunLoop, and
+// Trace views them with the barrier's lead-in, Sync and join tail.
+func (r *Record) ForkJoin() bool { return len(r.Loops) == 1 && r.Policy == "" }
 
-// Trace reconstructs the per-thread timeline, or nil when the record
-// carries none.
+// Trace derives the per-thread timeline from the event stream (see
+// FromEvents), or returns nil when the record has no events.
 func (r *Record) Trace() *Trace {
-	if len(r.Timeline) == 0 {
+	if len(r.Events) == 0 {
 		return nil
 	}
-	t := New(r.NThreads)
-	for _, iv := range r.Timeline {
-		t.Add(iv.Tid, iv.StartNs, iv.EndNs, iv.State)
-	}
-	return t
-}
-
-// TimelineOf flattens a timeline into its serializable form (threads in
-// order, intervals in time order — the canonical layout DecodeJSONL
-// produces).
-func TimelineOf(t *Trace) []IntervalRecord {
-	if t == nil {
-		return nil
-	}
-	var out []IntervalRecord
-	for tid := 0; tid < t.NThreads(); tid++ {
-		for _, iv := range t.Intervals(tid) {
-			out = append(out, IntervalRecord{Tid: tid, StartNs: iv.Start, EndNs: iv.End, State: iv.State})
-		}
-	}
-	return out
+	return FromEvents(r.NThreads, r.Events, r.StartNs, r.StartNs+r.MakespanNs, r.ForkJoin())
 }
 
 // Validate checks a record's internal consistency (the invariants Decode
@@ -274,11 +254,6 @@ func (r *Record) Validate() error {
 			return fmt.Errorf("trace: SF sample %d references loop %d of %d", i, s.Loop, len(r.Loops))
 		}
 	}
-	for i, iv := range r.Timeline {
-		if iv.Tid < 0 || iv.Tid >= r.NThreads {
-			return fmt.Errorf("trace: timeline interval %d references thread %d of %d", i, iv.Tid, r.NThreads)
-		}
-	}
 	return nil
 }
 
@@ -296,7 +271,7 @@ const (
 	lineEvent    = "ev"
 	linePhase    = "phase"
 	lineSF       = "sf"
-	lineInterval = "iv"
+	lineInterval = "iv" // a stored timeline interval; version 1 only
 )
 
 func writeLine(w *bufio.Writer, tag string, v any) error {
@@ -316,10 +291,10 @@ func writeLine(w *bufio.Writer, tag string, v any) error {
 
 // EncodeJSONL writes the record as JSON Lines: a "run" header line (version,
 // engine, platform, fleet shape, makespan) followed by one line per loop
-// descriptor, chunk event, phase transition, SF sample and timeline
-// interval, in that order. The encoding is deterministic: encoding the same
-// record twice yields byte-identical output (the property `make
-// replay-determinism` checks end to end).
+// descriptor, chunk event, phase transition and SF sample, in that order.
+// The encoding is deterministic: encoding the same record twice yields
+// byte-identical output (the property `make replay-determinism` checks end
+// to end).
 func EncodeJSONL(w io.Writer, r *Record) error {
 	if err := r.Validate(); err != nil {
 		return err
@@ -345,11 +320,6 @@ func EncodeJSONL(w io.Writer, r *Record) error {
 	}
 	for i := range r.SFSamples {
 		if err := writeLine(bw, lineSF, &r.SFSamples[i]); err != nil {
-			return err
-		}
-	}
-	for i := range r.Timeline {
-		if err := writeLine(bw, lineInterval, &r.Timeline[i]); err != nil {
 			return err
 		}
 	}
@@ -414,11 +384,10 @@ func DecodeJSONL(rd io.Reader) (*Record, error) {
 			}
 			rec.SFSamples = append(rec.SFSamples, s)
 		case lineInterval:
-			var iv IntervalRecord
-			if err := json.Unmarshal(env.D, &iv); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
+			if rec.Version > 1 {
+				return nil, fmt.Errorf("trace: line %d: unknown line type %q in a version %d record", lineNo, env.T, rec.Version)
 			}
-			rec.Timeline = append(rec.Timeline, iv)
+			// A version 1 stored timeline; Trace derives it from the events.
 		default:
 			return nil, fmt.Errorf("trace: line %d: unknown line type %q", lineNo, env.T)
 		}

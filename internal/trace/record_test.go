@@ -33,9 +33,9 @@ func sampleRecord() *Record {
 				Cost:    &CostRecord{Kind: "uniform", Base: 230}},
 		},
 		Events: []ChunkEvent{
-			{Seq: 0, TimeNs: 104, Tid: 0, Loop: 0, Lo: 0, Hi: 16, Shard: 0, Cost: 1234.5, ExecNs: 700, PoolAccesses: 1, Timestamps: 1},
-			{Seq: 1, TimeNs: 110, Tid: 1, Loop: 1, Lo: 0, Hi: 4, Shard: 1, Cost: 920, ExecNs: 300, PoolAccesses: 2},
-			{Seq: 2, TimeNs: 900, Tid: 0, Loop: 0, Retire: true, PoolAccesses: 1},
+			{Seq: 0, TimeNs: 104, Tid: 0, Loop: 0, Lo: 0, Hi: 16, Shard: 0, Cost: 1234.5, SchedNs: 4, ExecNs: 700, PoolAccesses: 1, Timestamps: 1},
+			{Seq: 1, TimeNs: 110, Tid: 1, Loop: 1, Lo: 0, Hi: 4, Shard: 1, Cost: 920, SchedNs: 10, ExecNs: 300, PoolAccesses: 2},
+			{Seq: 2, TimeNs: 900, Tid: 0, Loop: 0, Retire: true, SchedNs: 2, PoolAccesses: 1},
 		},
 		Phases: []PhaseEvent{
 			{TimeNs: 300, Tid: 3, Loop: 0, Epoch: 1, Kind: "r-initial", SF: []float64{2.5, 1}},
@@ -44,11 +44,6 @@ func sampleRecord() *Record {
 		SFSamples: []SFSample{
 			{TimeNs: 300, Loop: 0, SF: []float64{2.5, 1}},
 			{TimeNs: 4200, Loop: 0, SF: []float64{2.4375, 1}},
-		},
-		Timeline: []IntervalRecord{
-			{Tid: 0, StartNs: 100, EndNs: 104, State: Sched},
-			{Tid: 0, StartNs: 104, EndNs: 804, State: Running},
-			{Tid: 0, StartNs: 804, EndNs: 4200, State: Sync},
 		},
 	}
 }
@@ -147,6 +142,9 @@ func randomRecord(rng *rand.Rand) *Record {
 			ev.Cost = rng.Float64() * 1e7
 			ev.ExecNs = rng.Int63n(1 << 30)
 		}
+		if rng.Intn(2) == 0 {
+			ev.SchedNs = rng.Int63n(1 << 16)
+		}
 		r.Events = append(r.Events, ev)
 	}
 	for i := rng.Intn(5); i > 0; i-- {
@@ -160,15 +158,6 @@ func randomRecord(rng *rand.Rand) *Record {
 	for i := rng.Intn(5); i > 0; i-- {
 		r.SFSamples = append(r.SFSamples, SFSample{TimeNs: rng.Int63n(1 << 40),
 			Loop: rng.Intn(nLoops), SF: []float64{1 + rng.Float64()*7}})
-	}
-	if rng.Intn(2) == 0 {
-		start := int64(0)
-		for i := 0; i < 4; i++ {
-			end := start + 1 + rng.Int63n(1000)
-			r.Timeline = append(r.Timeline, IntervalRecord{Tid: rng.Intn(nThreads),
-				StartNs: start, EndNs: end, State: State(rng.Intn(3))})
-			start = end
-		}
 	}
 	return r
 }
@@ -215,6 +204,31 @@ func TestDecodeRejectsUnsupportedVersion(t *testing.T) {
 	}
 }
 
+// ivLine is a stored timeline interval as version 1 records carry them.
+const ivLine = `{"t":"iv","d":{"tid":0,"start_ns":100,"end_ns":104,"state":1}}` + "\n"
+
+// TestDecodeSkipsVersion1Timeline: a version 1 record's iv lines decode to
+// nothing; the timeline is derived from the events instead.
+func TestDecodeSkipsVersion1Timeline(t *testing.T) {
+	want := sampleRecord()
+	want.Version = 1
+	data := string(encodeToBytes(t, want)) + ivLine
+	got, err := DecodeJSONL(strings.NewReader(data))
+	if err != nil {
+		t.Fatalf("DecodeJSONL: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("v1 decode mismatch:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+func TestDecodeRejectsTimelineInVersion2(t *testing.T) {
+	data := string(encodeToBytes(t, sampleRecord())) + ivLine
+	if _, err := DecodeJSONL(strings.NewReader(data)); err == nil || !strings.Contains(err.Error(), "unknown line type") {
+		t.Errorf("DecodeJSONL of a v%d record with an iv line: err = %v, want unknown line type", RecordVersion, err)
+	}
+}
+
 func TestDecodeRejectsGarbage(t *testing.T) {
 	cases := map[string]string{
 		"empty":            "",
@@ -239,22 +253,47 @@ func TestDecodeRejectsInconsistentRecord(t *testing.T) {
 	}
 }
 
+// TestRecordTraceReconstruction pins the timeline Record.Trace derives from
+// the events, in the fork/join view and in the multi-loop view.
 func TestRecordTraceReconstruction(t *testing.T) {
-	r := sampleRecord()
-	tr := r.Trace()
-	if tr == nil {
-		t.Fatal("Trace() = nil for a record with a timeline")
+	r := &Record{Version: RecordVersion, Engine: "sim", NThreads: 2, StartNs: 100, MakespanNs: 1000,
+		Loops: []LoopRecord{{Name: "l", NI: 20}},
+		Events: []ChunkEvent{
+			{TimeNs: 104, Tid: 0, Lo: 0, Hi: 16, SchedNs: 4, ExecNs: 700},
+			{TimeNs: 110, Tid: 1, Lo: 16, Hi: 20, SchedNs: 10, ExecNs: 300},
+			{TimeNs: 420, Tid: 1, Retire: true, SchedNs: 5},
+			{TimeNs: 808, Tid: 0, Retire: true, SchedNs: 2},
+		}}
+	check := func(view string, want [][]Interval) {
+		t.Helper()
+		tr := r.Trace()
+		for tid, w := range want {
+			if got := tr.Intervals(tid); !reflect.DeepEqual(got, w) {
+				t.Errorf("%s thread %d:\n got %v\nwant %v", view, tid, got, w)
+			}
+		}
 	}
-	if got := tr.TimeIn(0, Running); got != 700 {
-		t.Errorf("reconstructed Running time = %d, want 700", got)
-	}
-	// Flattening the reconstructed trace must reproduce the section.
-	if got := TimelineOf(tr); !reflect.DeepEqual(got, r.Timeline) {
-		t.Errorf("TimelineOf(Trace()) = %+v, want %+v", got, r.Timeline)
-	}
-	r.Timeline = nil
+	// Fork/join: lead-in from StartNs, Sync to the last finish (810), join
+	// tail to StartNs+MakespanNs.
+	check("fork/join", [][]Interval{
+		{{100, 108, Sched}, {108, 808, Running}, {808, 1100, Sched}},
+		{{100, 120, Sched}, {120, 420, Running}, {420, 425, Sched}, {425, 810, Sync}, {810, 1100, Sched}},
+	})
+	r.Policy = "wrr"
+	check("multi-loop", [][]Interval{
+		{{104, 108, Sched}, {108, 808, Running}, {808, 810, Sched}},
+		{{110, 120, Sched}, {120, 420, Running}, {420, 425, Sched}},
+	})
+	// A span overlapping its thread's previous interval (a per-loop
+	// compacted stream) is clipped instead of failing.
+	r.Events[2].TimeNs = 400
+	check("clipped", [][]Interval{
+		{{104, 108, Sched}, {108, 808, Running}, {808, 810, Sched}},
+		{{110, 120, Sched}, {120, 420, Running}},
+	})
+	r.Events = nil
 	if r.Trace() != nil {
-		t.Error("Trace() != nil for a record without a timeline")
+		t.Error("Trace() != nil for a record without events")
 	}
 }
 
@@ -288,7 +327,7 @@ func TestRecorderPhaseDerivesSFSample(t *testing.T) {
 
 func TestValidateRejectsOutOfRangeReferences(t *testing.T) {
 	cases := map[string]func(*Record){
-		"timeline tid":   func(r *Record) { r.Timeline[0].Tid = r.NThreads },
+		"event tid":      func(r *Record) { r.Events[0].Tid = r.NThreads },
 		"phase tid":      func(r *Record) { r.Phases[0].Tid = -1 },
 		"phase loop":     func(r *Record) { r.Phases[0].Loop = len(r.Loops) },
 		"sf sample loop": func(r *Record) { r.SFSamples[0].Loop = 99 },

@@ -108,31 +108,18 @@ func (r *Recorder) SFSample(s SFSample) {
 // knows the per-worker capture order that breaks wall-clock ties); merged
 // streams enter the Recorder through Chunk/Phase/SFSample.
 type WorkerTape struct {
-	Events    []ChunkEvent
-	Phases    []PhaseEvent
-	Intervals []Interval
+	Events []ChunkEvent
+	Phases []PhaseEvent
 }
 
-// Reserve pre-sizes the tape for roughly nEvents chunk grants — nEvents
-// event slots plus the two intervals (sched + running) each grant appends —
-// so the capturing hot path does not grow its buffers mid-run. An estimate
-// is fine: appends beyond the reservation still work, they just pay the
+// Reserve pre-sizes the tape for roughly nEvents chunk grants, so the
+// capturing hot path does not grow its buffers mid-run. An estimate is
+// fine: appends beyond the reservation still work, they just pay the
 // reallocation the reservation exists to avoid.
 func (t *WorkerTape) Reserve(nEvents int) {
-	if nEvents <= 0 {
-		return
-	}
-	if cap(t.Events) < nEvents {
+	if nEvents > 0 && cap(t.Events) < nEvents {
 		t.Events = make([]ChunkEvent, len(t.Events), nEvents)
 	}
-	if n := 2*nEvents + 1; cap(t.Intervals) < n {
-		t.Intervals = make([]Interval, len(t.Intervals), n)
-	}
-}
-
-// AttachTimeline stores the per-thread timeline (single-loop runs).
-func (r *Recorder) AttachTimeline(t *Trace) {
-	r.rec.Timeline = TimelineOf(t)
 }
 
 // EndRun finalizes the record with the run's makespan.

@@ -1,9 +1,11 @@
-// Package trace records per-thread execution timelines in the style of the
-// Paraver traces the paper uses to visualize load imbalance (Figs. 1 and 4).
-// Each worker thread contributes a sequence of intervals in one of three
+// Package trace records runs as chunk-event streams (Record) and derives
+// from them the per-thread execution timelines in the style of the Paraver
+// traces the paper uses to visualize load imbalance (Figs. 1 and 4). Each
+// worker thread's timeline is a sequence of intervals in one of three
 // states — Running (useful iteration work), Sched (runtime scheduling and
-// fork/join overhead), and Sync (waiting at the implicit barrier) — and the
-// package renders them as an ASCII Gantt chart plus utilization metrics.
+// fork/join overhead), and Sync (waiting at the implicit barrier) — built
+// from the events by FromEvents, and the package renders them as an ASCII
+// Gantt chart plus utilization metrics.
 package trace
 
 import (
@@ -57,9 +59,8 @@ type Interval struct {
 }
 
 // Trace accumulates intervals for a fixed number of threads. The zero value
-// is not usable; call New. Trace is not safe for concurrent use; the
-// simulator is single-goroutine and the real executor records per thread
-// then merges.
+// is not usable; call New or FromEvents. Trace is not safe for concurrent
+// use.
 type Trace struct {
 	perThread [][]Interval
 }
@@ -135,25 +136,76 @@ func (t *Trace) Utilization(tid int) float64 {
 	return float64(t.TimeIn(tid, Running)) / float64(end)
 }
 
-// ImbalancePct quantifies load imbalance as the percentage of total trace
-// time that the least-utilized thread spends not Running relative to the
-// most-utilized one: 100·(maxRun − minRun)/maxRun. A perfectly balanced
-// trace scores 0.
+// ImbalancePct is Imbalance over the threads' Running times.
 func (t *Trace) ImbalancePct() float64 {
+	run := make([]int64, len(t.perThread))
+	for tid := range run {
+		run[tid] = t.TimeIn(tid, Running)
+	}
+	return Imbalance(run)
+}
+
+// Imbalance quantifies load imbalance from per-thread Running times as the
+// share of the busiest thread's time that the least busy one spends not
+// Running: 100·(maxRun − minRun)/maxRun. A perfectly balanced run scores 0,
+// as does a run with no Running time.
+func Imbalance(runNs []int64) float64 {
 	var minRun, maxRun int64 = -1, 0
-	for tid := range t.perThread {
-		r := t.TimeIn(tid, Running)
+	for _, r := range runNs {
 		if minRun == -1 || r < minRun {
 			minRun = r
 		}
-		if r > maxRun {
-			maxRun = r
-		}
+		maxRun = max(maxRun, r)
 	}
 	if maxRun == 0 {
 		return 0
 	}
 	return 100 * float64(maxRun-minRun) / float64(maxRun)
+}
+
+// FromEvents derives the per-thread timeline of a chunk-event stream in
+// engine order. Each grant is Sched for its SchedNs and then Running for its
+// ExecNs; each retirement is Sched up to the worker's finish. With barrier
+// set, the stream is one loop that every worker joins at startNs and leaves
+// through an implicit barrier released at endNs: each thread also gets a
+// Sched lead-in from startNs to its first event, Sync from its finish to the
+// last finish, and a Sched join tail from there to endNs.
+//
+// A span that begins before its thread's previous interval ends (a stream
+// coarsened by CompactEvents per loop, or a malformed decoded record) is
+// clipped to begin there, so derivation never fails on a valid record.
+func FromEvents(nthreads int, evs []ChunkEvent, startNs, endNs int64, barrier bool) *Trace {
+	t := New(nthreads)
+	add := func(tid int, start, end int64, s State) {
+		if ivs := t.perThread[tid]; len(ivs) > 0 {
+			start = max(start, ivs[len(ivs)-1].End)
+		}
+		t.Add(tid, start, end, s)
+	}
+	joined := make([]bool, nthreads)
+	for _, ev := range evs {
+		if barrier && !joined[ev.Tid] {
+			joined[ev.Tid] = true
+			add(ev.Tid, startNs, ev.TimeNs, Sched)
+		}
+		schedEnd := ev.TimeNs + ev.SchedNs
+		add(ev.Tid, ev.TimeNs, schedEnd, Sched)
+		if !ev.Retire {
+			add(ev.Tid, schedEnd, schedEnd+ev.ExecNs, Running)
+		}
+	}
+	if barrier {
+		lastFinish := max(startNs, t.EndTime())
+		for tid, ivs := range t.perThread {
+			finish := startNs
+			if len(ivs) > 0 {
+				finish = ivs[len(ivs)-1].End
+			}
+			add(tid, finish, lastFinish, Sync)
+			add(tid, lastFinish, endNs, Sched)
+		}
+	}
+	return t
 }
 
 // SchedOverheadPct returns the share of the aggregate thread-time spent in
