@@ -40,9 +40,9 @@ type summary struct {
 	makespan  float64
 	pool      float64
 	chunks    float64
-	runNs     []float64 // per thread, from the derived timeline
-	schedNs   []float64
-	syncNs    []float64
+	runNs     float64 // summed over threads, from the derived timeline
+	schedNs   float64
+	syncNs    float64
 	imbalance float64
 	finalSF   map[string][]float64
 	sfSamples map[string]int
@@ -51,9 +51,6 @@ type summary struct {
 func summarize(rec *trace.Record) *summary {
 	s := &summary{
 		makespan:  float64(rec.MakespanNs),
-		runNs:     make([]float64, rec.NThreads),
-		schedNs:   make([]float64, rec.NThreads),
-		syncNs:    make([]float64, rec.NThreads),
 		finalSF:   map[string][]float64{},
 		sfSamples: map[string]int{},
 	}
@@ -64,10 +61,10 @@ func summarize(rec *trace.Record) *summary {
 		}
 	}
 	if tr := rec.Trace(); tr != nil {
-		for tid := 0; tid < rec.NThreads; tid++ {
-			s.runNs[tid] = float64(tr.TimeIn(tid, trace.Running))
-			s.schedNs[tid] = float64(tr.TimeIn(tid, trace.Sched))
-			s.syncNs[tid] = float64(tr.TimeIn(tid, trace.Sync))
+		for tid := 0; tid < tr.NThreads(); tid++ {
+			s.runNs += float64(tr.TimeIn(tid, trace.Running))
+			s.schedNs += float64(tr.TimeIn(tid, trace.Sched))
+			s.syncNs += float64(tr.TimeIn(tid, trace.Sync))
 		}
 		s.imbalance = tr.ImbalancePct()
 	}
@@ -84,14 +81,6 @@ func loopName(rec *trace.Record, li int) string {
 		return rec.Loops[li].Name
 	}
 	return fmt.Sprintf("loop-%d", li)
-}
-
-func sum(xs []float64) float64 {
-	t := 0.0
-	for _, x := range xs {
-		t += x
-	}
-	return t
 }
 
 // Diff compares two runs — a baseline and a candidate — into a regression
@@ -114,14 +103,14 @@ func Diff(a, b *trace.Record, tolPct float64) *Report {
 	costMetric("makespan_ns", sa.makespan, sb.makespan)
 	costMetric("pool_accesses", sa.pool, sb.pool)
 	costMetric("chunks", sa.chunks, sb.chunks)
-	costMetric("running_ns_total", sum(sa.runNs), sum(sb.runNs))
-	costMetric("sched_ns_total", sum(sa.schedNs), sum(sb.schedNs))
+	costMetric("running_ns_total", sa.runNs, sb.runNs)
+	costMetric("sched_ns_total", sa.schedNs, sb.schedNs)
 	// Sync time is informational only: where the idle time sits is already
 	// judged by makespan and imbalance — a schedule can lengthen the
 	// barrier wait in absolute terms while finishing sooner, which is an
 	// improvement, not a regression.
-	va, vb := sum(sa.syncNs), sum(sb.syncNs)
-	rep.Metrics = append(rep.Metrics, Metric{Name: "sync_ns_total", A: va, B: vb, DeltaPct: deltaPct(va, vb)})
+	rep.Metrics = append(rep.Metrics, Metric{Name: "sync_ns_total", A: sa.syncNs, B: sb.syncNs,
+		DeltaPct: deltaPct(sa.syncNs, sb.syncNs)})
 	// Imbalance is already a percentage; compare in absolute points.
 	ia, ib := sa.imbalance, sb.imbalance
 	im := Metric{Name: "imbalance_pct", A: ia, B: ib, DeltaPct: ib - ia}
